@@ -25,7 +25,7 @@ from .routing import (
     stablemoe_mode,
     stablemoe_update,
 )
-from .experts import ExpertBank, expert_forward, moe_combine
+from .experts import ExpertBank, moe_combine
 from .stochastic import (
     NoiseStats,
     RngStream,

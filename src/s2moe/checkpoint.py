@@ -11,11 +11,13 @@ Layout:
                 u8 dtype code (0 = f32, 1 = f64), u8 ndim, u32 dims,
                 raw little-endian data
 
-Saving the result of a load reproduces the file byte for byte.
+Saving the result of a load reproduces the file byte for byte, and a save
+replaces the file at its path atomically.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -63,9 +65,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         parts.append(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
 
-    blob = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # write beside the target and rename over it: a failed write leaves the
+    # previous file at ``path`` untouched
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -11,14 +11,19 @@ import math
 import sys
 
 from .config import PRESETS, RunConfig, load_config, preset
+from .data import make_batch, pair_count
 from .diagnostics import (
+    collapse_metrics,
     flops_per_token,
     format_collapse_report,
     format_flops_report,
     format_jacobian_report,
     jacobian_probe,
 )
-from .train import TrainAbort, evaluate_checkpoint, train
+from .routing import VARIANTS
+from .stochastic import RngStream, compute_batch_stats
+from .tensor import Tensor, no_grad
+from .train import TrainAbort, evaluate_checkpoint, load_run, train
 
 USAGE_ERROR, RUNTIME_ERROR = 1, 2
 
@@ -39,7 +44,7 @@ def _build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="run the training loop")
     p_train.add_argument("--config", help="key=value config file")
     p_train.add_argument("--preset", choices=PRESETS)
-    p_train.add_argument("--variant", choices=("smoe", "s2moe", "smoe-dropout", "xmoe", "stablemoe"))
+    p_train.add_argument("--variant", choices=VARIANTS)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--corpus", help="path to a byte corpus")
     p_train.add_argument("--steps", type=int)
@@ -106,20 +111,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    from .checkpoint import apply_tensors, load_checkpoint
-    from .config import parse_config_text
-    from .data import ingest_corpus, make_batch, pair_count
-    from .diagnostics import collapse_metrics
-    from .stochastic import RngStream, compute_batch_stats
-    from .tensor import Tensor, no_grad
-    from .train import _restore_stablemoe, build_model
-
-    ck = load_checkpoint(args.ckpt)
-    cfg = parse_config_text(ck.config_text)
-    corpus = ingest_corpus(cfg.corpus, cfg.splits)
-    model = build_model(cfg, corpus)
-    apply_tensors(model.parameters(), ck)
-    _restore_stablemoe(model, ck.step)
+    cfg, corpus, model = load_run(args.ckpt)
     if not 0 <= args.layer < cfg.n_layers:
         raise _UsageError(f"--layer {args.layer} out of range [0, {cfg.n_layers})")
 

@@ -16,26 +16,10 @@ PRESETS = ("paper-base", "desk")
 
 
 @dataclass
-class RunConfig:
-    # model
-    n_layers: int = 4
-    d_model: int = 256
-    n_heads: int = 8
-    d_exp: int = 512
-    n_experts: int = 16
-    k_train: int = 2
-    k_eval: int = 2
-    vocab_size: int = 257
-    seq_len: int = 512
-    dropout: float = 0.1
-    variant: str = "smoe"
-    alpha: float = 0.01
-    beta: float = 0.1
-    tau_u: float = 1.0
-    d_low: int = 8
+class RunConfig(ModelConfig):
+    """A ModelConfig plus the run's data, optimizer and bookkeeping fields."""
+
     stage_boundary: int = -1          # -1: steps // 2 for stablemoe
-    seed: int = 0
-    precision: str = "f32"
     # run
     preset: str = "paper-base"
     corpus: str = ""
@@ -54,15 +38,10 @@ class RunConfig:
     split_test: float = 0.05
 
     def model_config(self) -> ModelConfig:
-        boundary = self.stage_boundary if self.stage_boundary >= 0 else self.steps // 2
-        return ModelConfig(
-            n_layers=self.n_layers, d_model=self.d_model, n_heads=self.n_heads,
-            d_exp=self.d_exp, n_experts=self.n_experts, k_train=self.k_train,
-            k_eval=self.k_eval, vocab_size=self.vocab_size, seq_len=self.seq_len,
-            dropout=self.dropout, variant=self.variant, alpha=self.alpha,
-            beta=self.beta, tau_u=self.tau_u, d_low=self.d_low,
-            stage_boundary=boundary, seed=self.seed, precision=self.precision,
-        )
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
+        if self.stage_boundary < 0:
+            fields["stage_boundary"] = self.steps // 2
+        return ModelConfig(**fields)
 
     @property
     def splits(self) -> tuple[float, float, float]:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .experts import moe_combine
-from .moe import S2MoeLayer
+from .moe import MoeAux, S2MoeLayer
 from .routing import RouterDecision, route
-from .stochastic import RngStream, blend_gate, compute_batch_stats
+from .stochastic import RngStream, compute_batch_stats, perturb
 from .tensor import Tape, Tensor, backward, mul, no_grad, tsum
 
 
@@ -59,12 +59,6 @@ class FlopsReport:
 # Jacobian probe
 
 
-def _layer_pieces(layer):
-    if isinstance(layer, S2MoeLayer):
-        return layer.inner.router, layer.inner.experts, layer.blend
-    return layer.router, layer.experts, None
-
-
 def _freeze_decision(dec: RouterDecision) -> RouterDecision:
     return RouterDecision(probs=Tensor(dec.probs.data.copy()), indices=dec.indices.copy(),
                           gates=Tensor(dec.gates.data.copy()), k_used=dec.k_used)
@@ -97,42 +91,36 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int, eps: float = 1e-5,
     """
     v0 = np.asarray(x_token, dtype=np.float64).reshape(-1)
     d = v0.size
-    router, experts, blend = _layer_pieces(layer)
+    router, experts = layer.router, layer.experts
 
     stochastic = isinstance(layer, S2MoeLayer)
     if stochastic:
         if stats is None:
             stats = compute_batch_stats(Tensor(v0.reshape(1, 1, d)))
         rng = noise_rng if noise_rng is not None else RngStream(0)
-        sigma = np.broadcast_to(stats.sigma, (1, 1, d))
-        n1 = rng.normal((1, 1, d), loc=1.0, scale=sigma)
-        n2 = rng.normal((1, 1, d), loc=np.broadcast_to(stats.mu, (1, 1, d)), scale=sigma)
-    else:
-        n1 = n2 = None
+        draw = (rng.seed, rng.counter)  # every forward replays this one noise draw
 
-    def forward(v: np.ndarray, frozen: tuple | None):
-        """Layer output vector at input v; frozen=(dec, dec_noisy) pins routing."""
-        x = Tensor(v.reshape(1, 1, d))
+    def forward(x: Tensor, frozen: tuple | None) -> Tensor:
+        """Layer output at input x; frozen=(dec, dec_noisy) pins routing."""
         dec = frozen[0] if frozen else route(x, router, k)
         y = moe_combine(x, dec, experts)
         if stochastic:
-            x_hat = mul(x, Tensor(n1)) + Tensor(n2)
+            x_hat = perturb(x, stats, RngStream(*draw))
             dec_n = frozen[1] if frozen else route(x_hat, router, k)
-            y_n = moe_combine(x_hat, dec_n, experts)
-            g = blend_gate(x, blend)
-            y = mul(g, y) + mul(1.0 - g, y_n)
+            y = layer.mix(x, y, moe_combine(x_hat, dec_n, experts))
         return y
 
     with no_grad():
-        dec0 = route(Tensor(v0.reshape(1, 1, d)), router, k)
+        x0 = Tensor(v0.reshape(1, 1, d))
+        dec0 = route(x0, router, k)
         gap = _boundary_gap(dec0.probs.data[0, 0], k)
         if stochastic:
-            xh0 = v0.reshape(1, 1, d) * n1 + n2
-            dec0_n = route(Tensor(xh0), router, k)
+            xh0 = perturb(x0, stats, rng)
+            dec0_n = route(xh0, router, k)
             gap = min(gap, _boundary_gap(dec0_n.probs.data[0, 0], k))
             frozen = (_freeze_decision(dec0), _freeze_decision(dec0_n))
             kink = min(_kink_gap(experts, v0, dec0.indices),
-                       _kink_gap(experts, xh0.reshape(-1), dec0_n.indices))
+                       _kink_gap(experts, xh0.data.reshape(-1), dec0_n.indices))
         else:
             frozen = (_freeze_decision(dec0), None)
             kink = _kink_gap(experts, v0, dec0.indices)
@@ -142,11 +130,11 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int, eps: float = 1e-5,
         def fd_jacobian(frozen_arg):
             jac = np.zeros((d, d))
             for j in range(d):
-                vp, vm = v0.copy(), v0.copy()
-                vp[j] += eps
-                vm[j] -= eps
-                jac[:, j] = (forward(vp, frozen_arg).data.reshape(-1)
-                             - forward(vm, frozen_arg).data.reshape(-1)) / (2 * eps)
+                vp, vm = x0.data.copy(), x0.data.copy()
+                vp[0, 0, j] += eps
+                vm[0, 0, j] -= eps
+                jac[:, j] = (forward(Tensor(vp), frozen_arg).data.reshape(-1)
+                             - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * eps)
             return jac
 
         j_full = fd_jacobian(None)
@@ -159,15 +147,7 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int, eps: float = 1e-5,
         onehot[0, 0, i] = 1.0
         with Tape():
             x = Tensor(v0.reshape(1, 1, d), requires_grad=True)
-            dec = route(x, router, k)
-            y = moe_combine(x, dec, experts)
-            if stochastic:
-                x_hat = mul(x, Tensor(n1)) + Tensor(n2)
-                dec_n = route(x_hat, router, k)
-                y_n = moe_combine(x_hat, dec_n, experts)
-                g = blend_gate(x, blend)
-                y = mul(g, y) + mul(1.0 - g, y_n)
-            backward(tsum(mul(y, Tensor(onehot))))
+            backward(tsum(mul(forward(x, None), Tensor(onehot))))
         j_auto[i] = x.grad.reshape(-1)
 
     denom = np.maximum(np.maximum(np.abs(j_auto), np.abs(j_full)), 1e-8)
@@ -198,6 +178,18 @@ def gini(values: np.ndarray) -> float:
     return float(diffs / (2.0 * v.size * v.sum()))
 
 
+def routing_stats(auxes: list[MoeAux], n_experts: int) -> tuple[float, np.ndarray]:
+    """Router entropy (nats, mean over tokens, then over layers) and the raw
+    per-expert counts of selected slots, summed over layers."""
+    entropies = []
+    load = np.zeros(n_experts)
+    for aux in auxes:
+        p = aux.decision.probs.data.reshape(-1, n_experts)
+        entropies.append(float(np.mean(-np.sum(p * np.log(np.maximum(p, 1e-300)), axis=-1))))
+        load += np.bincount(aux.decision.indices.reshape(-1), minlength=n_experts)
+    return float(np.mean(entropies)), load
+
+
 def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | None = None) -> CollapseReport:
     """Expert-output similarity, router entropy, and load statistics.
 
@@ -212,9 +204,7 @@ def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | No
         _, auxes = model.lm_forward(tokens, mode="eval", collect_moe_inputs=True)
 
     per_layer = []
-    entropies = []
     n = model.cfg.n_experts
-    load = np.zeros(n)
     with no_grad():
         for blk, aux in zip(model.blocks, auxes):
             x = aux.moe_input.reshape(-1, model.cfg.d_model)
@@ -229,16 +219,12 @@ def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | No
                     cos_acc.append(float(np.mean(np.sum(unit[i] * unit[j], axis=-1))))
             per_layer.append(float(np.mean(cos_acc)))
 
-            p = aux.decision.probs.data.reshape(-1, n)
-            entropies.append(float(np.mean(-np.sum(p * np.log(np.maximum(p, 1e-300)), axis=-1))))
-            idx = aux.decision.indices.reshape(-1)
-            load += np.bincount(idx, minlength=n)
-
+    entropy, load = routing_stats(auxes, n)
     load = load / load.sum()
     return CollapseReport(
         mean_pairwise_cosine=float(np.mean(per_layer)),
         per_layer_cosine=per_layer,
-        router_entropy=float(np.mean(entropies)),
+        router_entropy=entropy,
         expert_load=load,
         load_gini=gini(load),
         per_k_bpc=dict(per_k_bpc or {}),

@@ -45,14 +45,6 @@ class ExpertBank:
         return add(matmul(h, self.w2[i]), self.b2[i])
 
 
-def expert_forward(bank: ExpertBank, x_token: Tensor, i: int) -> Tensor:
-    """Single-token expert evaluation: W2 @ relu(W1 @ x + b1) + b2."""
-    if not 0 <= i < bank.n_experts:
-        raise ValueError(f"expert index {i} out of range [0, {bank.n_experts})")
-    h = relu(add(matmul(x_token, bank.w1[i]), bank.b1[i]))
-    return add(matmul(h, bank.w2[i]), bank.b2[i])
-
-
 def moe_combine(x: Tensor, decision: RouterDecision, bank: ExpertBank) -> Tensor:
     """Weighted sum of selected expert outputs per token (B, T, d).
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
+from .routing import VARIANTS
 from .stochastic import RngStream
 from .tensor import (
     Tensor,
@@ -25,8 +26,6 @@ from .tensor import (
     softmax,
     transpose,
 )
-
-VARIANTS = ("smoe", "s2moe", "smoe-dropout", "xmoe", "stablemoe")
 
 
 @dataclass
@@ -133,28 +132,30 @@ class DecoderBlock:
         named += [(f"moe.{n}", t) for n, t in self.moe.parameters()]
         return named
 
-    def _dropout(self, x: Tensor, train: bool, rng: RngStream | None) -> Tensor:
-        if not train or self.dropout <= 0.0 or rng is None:
-            return x
-        keep = 1.0 - self.dropout
-        mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
-        return mul(x, Tensor(mask))
-
     def forward(self, x: Tensor, k: int, train: bool, rng: RngStream | None,
                 collect_input: bool = False) -> tuple[Tensor, MoeAux]:
         a = self.attn.forward(_affine_norm(x, self.ln1_g, self.ln1_b))
-        x = add(x, self._dropout(a, train, rng))
+        x = add(x, _dropout(a, self.dropout, train, rng))
         h = _affine_norm(x, self.ln2_g, self.ln2_b)
         if self.is_stochastic:
             m, aux = self.moe.forward(h, k, train=train, rng=rng, collect_input=collect_input)
         else:
             m, aux = self.moe.forward(h, k, train=train, collect_input=collect_input)
-        x = add(x, self._dropout(m, train, rng))
+        x = add(x, _dropout(m, self.dropout, train, rng))
         return x, aux
 
 
 def _affine_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     return add(mul(layernorm(x), g), b)
+
+
+def _dropout(x: Tensor, p: float, train: bool, rng: RngStream | None) -> Tensor:
+    """Inverted dropout at rate p; the identity at eval or without a stream."""
+    if not train or p <= 0.0 or rng is None:
+        return x
+    keep = 1.0 - p
+    mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
+    return mul(x, Tensor(mask))
 
 
 class LanguageModel:
@@ -209,11 +210,7 @@ class LanguageModel:
             k = self.cfg.k_train if train else self.k_eval
 
         x = embedding(self.embed, tokens)
-        x = add(x, gather_pos(self.pos, t))
-        if train and self.cfg.dropout > 0 and rng is not None:
-            keep = 1.0 - self.cfg.dropout
-            mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
-            x = mul(x, Tensor(mask))
+        x = _dropout(add(x, gather_pos(self.pos, t)), self.cfg.dropout, train, rng)
 
         auxes: list[MoeAux] = []
         for blk in self.blocks:

@@ -114,9 +114,13 @@ class S2MoeLayer:
         y_clean, aux = self.inner.forward(x, k, train=True, collect_input=collect_input)
         decision_noisy = route(x_hat, self.inner.router, k)
         y_noisy = moe_combine(x_hat, decision_noisy, self.inner.experts)
-        g = blend_gate(x, self.blend)
-        y = add(mul(g, y_clean), mul(sub(Tensor(np.asarray(1.0, dtype=g.dtype)), g), y_noisy))
+        y = self.mix(x, y_clean, y_noisy)
         aux.decision_noisy = decision_noisy
         aux.pooled_clean = mean(x, axis=1)
         aux.pooled_noisy = mean(x_hat, axis=1)
         return y, aux
+
+    def mix(self, x: Tensor, y_clean: Tensor, y_noisy: Tensor) -> Tensor:
+        """The two-path blend g(x) * y_clean + (1 - g(x)) * y_noisy."""
+        g = blend_gate(x, self.blend)
+        return add(mul(g, y_clean), mul(sub(Tensor(np.asarray(1.0, dtype=g.dtype)), g), y_noisy))

@@ -55,7 +55,7 @@ class RouterDecision:
     k_used: int
 
 
-VARIANTS = ("smoe", "smoe-dropout", "xmoe", "stablemoe", "s2moe")
+VARIANTS = ("smoe", "s2moe", "smoe-dropout", "xmoe", "stablemoe")
 
 
 def make_router(n_experts: int, d_model: int, variant: str, rng, dtype=np.float32,

@@ -18,14 +18,6 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-OP_KINDS = frozenset({
-    "matmul", "add", "sub", "mul", "div", "pow", "neg",
-    "relu", "sigmoid", "softmax", "layer-norm", "log", "exp",
-    "sum", "mean", "variance", "reshape", "transpose", "concat",
-    "embedding-lookup", "gather-rows", "scatter-rows", "take-pairs",
-    "cross-entropy-with-logits",
-})
-
 
 class TensorError(Exception):
     """Base class for tensor-core failures."""

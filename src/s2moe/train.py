@@ -18,10 +18,9 @@ import numpy as np
 from .checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config_text
 from .data import Corpus, ingest_corpus, make_batch, pair_count
-from .diagnostics import CollapseReport, collapse_metrics, gini
+from .diagnostics import CollapseReport, collapse_metrics, gini, routing_stats
 from .losses import PooledPair, balance_loss, task_loss, total_loss, uncertainty_loss
 from .model import LanguageModel
-from .moe import MoeAux
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
 from .tensor import NonFiniteError, Tape, backward, no_grad
@@ -150,16 +149,6 @@ class TrainResult:
     corpus: Corpus
 
 
-def _aux_metrics(auxes: list[MoeAux], n_experts: int) -> tuple[float, float]:
-    entropies = []
-    load = np.zeros(n_experts)
-    for aux in auxes:
-        p = aux.decision.probs.data.reshape(-1, n_experts)
-        entropies.append(float(np.mean(-np.sum(p * np.log(np.maximum(p, 1e-300)), axis=-1))))
-        load += np.bincount(aux.decision.indices.reshape(-1), minlength=n_experts)
-    return float(np.mean(entropies)), gini(load)
-
-
 def _step_losses(model: LanguageModel, cfg: RunConfig, x, y, rng, k):
     logits, auxes = model.lm_forward(x, "train", rng=rng, k=k)
     nats, bpc, ppl = task_loss(logits, y)
@@ -194,21 +183,28 @@ def _save_state(path: str, cfg: RunConfig, model: LanguageModel, adam: Adam, ste
     save_checkpoint(path, ckpt)
 
 
-def _restore_stablemoe(model: LanguageModel, step: int) -> None:
-    for blk in model.blocks:
-        router = blk.moe.router
-        if router.variant == "stablemoe" and router.stage_boundary is not None \
-                and step >= router.stage_boundary and router.snapshot is None:
-            router.snapshot = router.w_e.data.copy()
-            router.snapshot_step = router.stage_boundary
-            router.snapshot_events += 1
-            router.frozen = True
-            router.w_e.requires_grad = False
-
-
 def build_model(cfg: RunConfig, corpus: Corpus) -> LanguageModel:
     cfg.vocab_size = corpus.vocab_size
     return LanguageModel(cfg.model_config())
+
+
+def _restore(model: LanguageModel, ck: Checkpoint) -> None:
+    """Copy checkpoint weights in; stablemoe routers past their boundary re-freeze there."""
+    apply_tensors(model.parameters(), ck)
+    for blk in model.blocks:
+        boundary = blk.moe.router.stage_boundary
+        if boundary is not None:
+            stablemoe_update(blk.moe.router, min(ck.step, boundary))
+
+
+def load_run(ckpt_path: str) -> tuple[RunConfig, Corpus, LanguageModel]:
+    """Rebuild a run from its checkpoint: config echo, corpus, and the restored model."""
+    ck = load_checkpoint(ckpt_path)
+    cfg = parse_config_text(ck.config_text)
+    corpus = ingest_corpus(cfg.corpus, cfg.splits)
+    model = build_model(cfg, corpus)
+    _restore(model, ck)
+    return cfg, corpus, model
 
 
 def train(cfg: RunConfig, resume_from: str | None = None,
@@ -225,19 +221,20 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     start_step = 0
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
-        apply_tensors(model.parameters(), ck)
+        _restore(model, ck)
         adam.load_state(ck.tensor_dict())
         start_step = ck.step
-        _restore_stablemoe(model, start_step)
     if model_hook is not None:
         model_hook(model)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     metrics_path = os.path.join(cfg.out_dir, "metrics.csv")
-    mode = "a" if resume_from is not None and os.path.exists(metrics_path) else "w"
-    metrics_file = open(metrics_path, mode, encoding="utf-8")
-    if mode == "w":
-        metrics_file.write(METRICS_HEADER + "\n")
+    # a resume keeps the rows written before its step, so each step appears once
+    kept = []
+    if resume_from is not None and os.path.exists(metrics_path):
+        kept = [r.to_line() for r in parse_metrics(metrics_path) if r.step < start_step]
+    metrics_file = open(metrics_path, "w", encoding="utf-8")
+    metrics_file.write("".join(line + "\n" for line in [METRICS_HEADER] + kept))
 
     rows: list[MetricsRow] = []
     pairs = pair_count(corpus.train, cfg.seq_len)
@@ -277,12 +274,12 @@ def train(cfg: RunConfig, resume_from: str | None = None,
             adam.step(step + 1)
 
             if step % cfg.eval_interval == 0 or step == cfg.steps - 1:
-                entropy, load_gini = _aux_metrics(auxes, n_experts)
+                entropy, load = routing_stats(auxes, n_experts)
                 nats_value = nats.item()
                 row = MetricsRow(
                     step=step, task_nats=nats_value, bpc=nats_value / math.log(2),
                     balance=bal.item(), uncertainty=unc.item() if unc is not None else 0.0,
-                    total=total_value, router_entropy=entropy, expert_load_gini=load_gini,
+                    total=total_value, router_entropy=entropy, expert_load_gini=gini(load),
                     k=k, wall_ms=(time.monotonic() - t0) * 1000.0,
                 )
                 rows.append(row)
@@ -351,12 +348,5 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
 def evaluate_checkpoint(ckpt_path: str, k: int, split: str,
                         with_collapse: bool = True) -> tuple[EvalResult, RunConfig]:
     """Rebuild the run from a checkpoint and evaluate it."""
-    ck = load_checkpoint(ckpt_path)
-    cfg = parse_config_text(ck.config_text)
-    if not 1 <= k <= cfg.n_experts:
-        raise ValueError(f"k={k} out of range [1, {cfg.n_experts}]")
-    corpus = ingest_corpus(cfg.corpus, cfg.splits)
-    model = build_model(cfg, corpus)
-    apply_tensors(model.parameters(), ck)
-    _restore_stablemoe(model, ck.step)
+    cfg, corpus, model = load_run(ckpt_path)
     return evaluate_model(model, corpus, cfg, k, split, with_collapse=with_collapse), cfg

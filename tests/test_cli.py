@@ -5,6 +5,8 @@ import re
 import pytest
 
 from s2moe.cli import cli
+from s2moe.model import ModelConfig
+from s2moe.routing import VARIANTS
 from s2moe.train import metrics_equal
 
 from conftest import tiny_run_config
@@ -78,3 +80,18 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "[jacobian]" in out and "rank = " in out and "[collapse]" in out
         assert cli(["probe", "--ckpt", ckpt, "--layer", "5"]) == 1
+
+
+class TestVariants:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant_is_accepted(self, variant, tiny_config_file, capsys):
+        assert ModelConfig(variant=variant).variant == variant
+        path, _ = tiny_config_file(f"v-{variant}", steps=1)
+        assert cli(["train", "--config", path, "--variant", variant]) == 0
+
+    def test_unknown_variant_is_usage_error(self, tiny_config_file, capsys):
+        path, _ = tiny_config_file("v-unknown", steps=1)
+        assert cli(["train", "--config", path, "--variant", "moe"]) == 1
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            ModelConfig(variant="moe")

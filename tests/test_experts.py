@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from s2moe.experts import ExpertBank, expert_forward, moe_combine
+from s2moe.experts import ExpertBank, moe_combine
 from s2moe.routing import RouterDecision, make_router, route
 from s2moe.stochastic import RngStream
 from s2moe.tensor import Tape, Tensor, backward, tsum
@@ -36,8 +36,8 @@ class TestExpertForward:
         bk = bank()
         for w in bk.w1 + bk.w2:
             w.data[:] = 0.0
-        out = expert_forward(bk, Tensor(np.ones(4, dtype=F64)), 2)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out = bk.apply(Tensor(np.ones((1, 4), dtype=F64)), 2)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
 
     def test_identity_on_positive_orthant(self):
         bk = bank(n=2, d=3, h=3)
@@ -46,23 +46,19 @@ class TestExpertForward:
         bk.b1[0].data[:] = 0.0
         bk.b2[0].data[:] = 0.0
         x = np.array([0.5, 2.0, 0.0], dtype=F64)
-        out = expert_forward(bk, Tensor(x), 0)
-        np.testing.assert_array_equal(out.data, x)
+        out = bk.apply(Tensor(x.reshape(1, 3)), 0)
+        np.testing.assert_array_equal(out.data[0], x)
 
     def test_matches_straight_line_matvec_oracle(self):
         bk = bank(n=3, d=4, h=3, seed=7)
         x = np.random.default_rng(1).standard_normal(4)
-        out = expert_forward(bk, Tensor(x, dtype=F64), 1)
+        out = bk.apply(Tensor(x.reshape(1, 4), dtype=F64), 1)
         # hand-rolled oracle with explicit loops
         hidden = [max(0.0, sum(x[j] * bk.w1[1].data[j, a] for j in range(4)) + bk.b1[1].data[a])
                   for a in range(3)]
         expect = [sum(hidden[a] * bk.w2[1].data[a, j] for a in range(3)) + bk.b2[1].data[j]
                   for j in range(4)]
-        np.testing.assert_allclose(out.data, expect, rtol=1e-12)
-
-    def test_bad_index_rejected(self):
-        with pytest.raises(ValueError):
-            expert_forward(bank(), Tensor(np.zeros(4)), 7)
+        np.testing.assert_allclose(out.data[0], expect, rtol=1e-12)
 
 
 class TestMoeCombine:

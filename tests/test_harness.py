@@ -1,6 +1,7 @@
 """Harness tests: ingestion, config, checkpoints, training, evaluation, CLI."""
 
 import dataclasses
+import importlib
 import math
 import os
 
@@ -21,6 +22,9 @@ from s2moe.train import (
 )
 
 from conftest import tiny_run_config
+
+# ``s2moe.train`` is shadowed by the re-exported function of the same name
+train_module = importlib.import_module("s2moe.train")
 
 
 class TestIngest:
@@ -147,6 +151,36 @@ class TestCheckpoint:
             load_checkpoint(str(bad))
         assert "version" in str(err.value)
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path, ck = self.make(tmp_path)
+        before = open(path, "rb").read()
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+
+        real_open = open
+        monkeypatch.setattr(importlib.import_module("s2moe.checkpoint"), "open",
+                            lambda file, mode="r", *a, **kw: TornFile(real_open(file, mode, *a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(path, dataclasses.replace(ck, step=18))
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["ck.bin"]
+
     def test_shape_mismatch_rejected(self, tmp_path):
         from s2moe.tensor import Tensor
         path, _ = self.make(tmp_path)
@@ -195,6 +229,41 @@ class TestTraining:
         assert a.step == b.step == 8
         for (na, ta), (nb, tb) in zip(a.tensors, b.tensors):
             assert na == nb and ta.tobytes() == tb.tobytes(), na
+
+    def test_resume_into_same_dir_keeps_one_row_per_step(self, small_corpus, tmp_path):
+        cfg = tiny_run_config(small_corpus, tmp_path / "same", steps=8,
+                              ckpt_interval=4, precision="f64", seed=3)
+        first = train(cfg)
+        uninterrupted = str(tmp_path / "uninterrupted.csv")
+        with open(uninterrupted, "w") as fh:
+            fh.write(open(first.metrics_path).read())
+
+        resumed = train(cfg, resume_from=os.path.join(cfg.out_dir, "ckpt-0000004.bin"))
+        assert [r.step for r in parse_metrics(resumed.metrics_path)] == [0, 2, 4, 6, 7]
+        # rows before the resume step are kept as written, the rest rewritten bitwise
+        assert open(resumed.metrics_path).read().splitlines()[:3] == \
+            open(uninterrupted).read().splitlines()[:3]
+        assert metrics_equal(uninterrupted, resumed.metrics_path)
+
+    def test_stablemoe_restored_frozen_past_boundary(self, small_corpus, tmp_path, monkeypatch):
+        cfg = tiny_run_config(small_corpus, tmp_path / "sm", variant="stablemoe",
+                              steps=6, stage_boundary=2, ckpt_interval=4)
+        train(cfg)
+        ckpt = os.path.join(cfg.out_dir, "ckpt-0000004.bin")
+
+        models = {}
+        train(dataclasses.replace(cfg, out_dir=str(tmp_path / "sm-resumed")), resume_from=ckpt,
+              model_hook=lambda m: models.setdefault("train", m))
+        build = train_module.build_model
+        monkeypatch.setattr(train_module, "build_model",
+                            lambda *a, **kw: models.setdefault("eval", build(*a, **kw)))
+        evaluate_checkpoint(ckpt, k=2, split="val", with_collapse=False)
+
+        for how, model in models.items():
+            router = model.blocks[0].moe.router
+            assert router.snapshot_events == 1, how
+            assert router.snapshot_step == 2, how
+            assert router.w_e.requires_grad is False, how
 
     def test_checkpoint_roundtrip_through_training(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "rt")
