@@ -22,7 +22,6 @@ from .routing import (
     route,
     topk_mask,
     dropout_schedule_k,
-    stablemoe_mode,
     stablemoe_update,
 )
 from .experts import ExpertBank, moe_combine
@@ -37,13 +36,11 @@ from .stochastic import (
 )
 from .moe import SmoeLayer, S2MoeLayer, MoeAux
 from .losses import (
-    LossBreakdown,
     PooledPair,
     task_loss,
     balance_loss,
     uncertainty_loss,
     total_loss,
-    breakdown,
 )
 from .model import ModelConfig, LanguageModel, DecoderBlock, Attention
 from .diagnostics import (
@@ -55,7 +52,7 @@ from .diagnostics import (
     flops_per_token,
     gini,
 )
-from .data import Corpus, ingest_corpus, make_synthetic_corpus, samples, sample_count, pair_count
+from .data import Corpus, ingest_corpus, make_synthetic_corpus, pair_count
 from .config import RunConfig, preset, load_config, parse_config_text
 from .checkpoint import Checkpoint, save_checkpoint, load_checkpoint, apply_tensors
 from .train import (

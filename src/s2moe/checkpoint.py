@@ -123,16 +123,14 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(config_text=config_text, step=step, rng_states=rng_states, tensors=tensors)
 
 
-def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint,
-                  prefix: str = "") -> None:
+def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint) -> None:
     """Copy checkpoint tensors into model parameters, validating shapes."""
     stored = ckpt.tensor_dict()
     for name, tensor in named_params:
-        key = prefix + name
-        if key not in stored:
-            raise ValueError(f"checkpoint missing tensor '{key}'")
-        arr = stored[key]
+        if name not in stored:
+            raise ValueError(f"checkpoint missing tensor '{name}'")
+        arr = stored[name]
         if tuple(arr.shape) != tuple(tensor.data.shape):
             raise ValueError(
-                f"shape mismatch for '{key}': checkpoint {tuple(arr.shape)} vs model {tuple(tensor.data.shape)}")
+                f"shape mismatch for '{name}': checkpoint {tuple(arr.shape)} vs model {tuple(tensor.data.shape)}")
         tensor.data = arr.astype(tensor.data.dtype, copy=True)

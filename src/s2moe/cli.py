@@ -7,11 +7,9 @@ malformed config), 2 runtime failure (missing files, non-finite loss).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .config import PRESETS, RunConfig, load_config, preset
-from .data import make_batch, pair_count
 from .diagnostics import (
     collapse_metrics,
     flops_per_token,
@@ -23,7 +21,7 @@ from .diagnostics import (
 from .routing import VARIANTS
 from .stochastic import RngStream, compute_batch_stats
 from .tensor import Tensor, no_grad
-from .train import TrainAbort, evaluate_checkpoint, load_run, train
+from .train import TrainAbort, collapse_batch, evaluate_checkpoint, load_run, train
 
 USAGE_ERROR, RUNTIME_ERROR = 1, 2
 
@@ -115,11 +113,9 @@ def _cmd_probe(args) -> int:
     if not 0 <= args.layer < cfg.n_layers:
         raise _UsageError(f"--layer {args.layer} out of range [0, {cfg.n_layers})")
 
-    n_batch = max(1, math.ceil(64 / cfg.seq_len))
-    pairs = pair_count(corpus.val, cfg.seq_len)
-    x, _ = make_batch(corpus.val, cfg.seq_len, range(min(n_batch, max(1, pairs))))
+    x = collapse_batch(corpus.val, cfg.seq_len, "val")
     with no_grad():
-        _, auxes = model.lm_forward(x, mode="eval", collect_moe_inputs=True)
+        _, auxes = model.lm_forward(x, mode="eval")
     layer = model.blocks[args.layer].moe
     acts = auxes[args.layer].moe_input.reshape(-1, cfg.d_model)
     stats = compute_batch_stats(Tensor(acts))

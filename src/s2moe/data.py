@@ -3,7 +3,7 @@
 Any byte stream is accepted: the vocabulary is the set of bytes seen in the
 train split (id order = byte order) plus one reserved unknown id for bytes
 that only appear later. Splits are cut at deterministic integer boundaries;
-samples are contiguous non-overlapping windows.
+batches are built from contiguous non-overlapping windows.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class Corpus:
     @property
     def vocab_size(self) -> int:
         return len(self.vocab_bytes) + 1
-
-    def decode(self, ids: np.ndarray) -> bytes:
-        table = self.vocab_bytes + [ord("?")]
-        return bytes(table[i] for i in np.asarray(ids).reshape(-1))
 
 
 def ingest_corpus(path: str, splits=(0.9, 0.05, 0.05)) -> Corpus:
@@ -57,17 +53,6 @@ def ingest_corpus(path: str, splits=(0.9, 0.05, 0.05)) -> Corpus:
         val=table[val_bytes],
         test=table[test_bytes],
     )
-
-
-def sample_count(tokens: np.ndarray, seq_len: int) -> int:
-    """Number of contiguous non-overlapping seq_len windows."""
-    return len(tokens) // seq_len
-
-
-def samples(tokens: np.ndarray, seq_len: int) -> np.ndarray:
-    """The windows themselves, shape (count, seq_len)."""
-    count = sample_count(tokens, seq_len)
-    return tokens[: count * seq_len].reshape(count, seq_len)
 
 
 def pair_count(tokens: np.ndarray, seq_len: int) -> int:

@@ -11,7 +11,7 @@ that for the fixed-draw stochastic layer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class CollapseReport:
     router_entropy: float           # mean nats over tokens
     expert_load: np.ndarray         # fraction of selected slots per expert
     load_gini: float
-    per_k_bpc: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -57,6 +56,9 @@ class FlopsReport:
 
 # ---------------------------------------------------------------------------
 # Jacobian probe
+
+_FD_EPS = 1e-5          # central-difference step
+_BOUNDARY_TOL = 1e-3    # smallest top-k margin a probe point may have
 
 
 def _freeze_decision(dec: RouterDecision) -> RouterDecision:
@@ -79,15 +81,14 @@ def _kink_gap(experts, x_row: np.ndarray, indices: np.ndarray) -> float:
     return gap
 
 
-def jacobian_probe(layer, x_token: np.ndarray, k: int, eps: float = 1e-5,
-                   noise_rng: RngStream | None = None, stats=None,
-                   boundary_tol: float = 1e-3) -> JacobianReport:
+def jacobian_probe(layer, x_token: np.ndarray, k: int,
+                   noise_rng: RngStream | None = None, stats=None) -> JacobianReport:
     """Probe the layer Jacobian at one token and decompose out the routing term.
 
     For a stochastic layer a single noise draw is frozen for the whole probe,
     so the map under test is deterministic; pass ``stats`` from a context
     batch, otherwise the single-token stats degenerate to sigma = 0. Probe
-    points whose top-k margin is below ``boundary_tol`` are rejected.
+    points whose top-k margin is at most ``_BOUNDARY_TOL`` are rejected.
     """
     v0 = np.asarray(x_token, dtype=np.float64).reshape(-1)
     d = v0.size
@@ -124,17 +125,17 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int, eps: float = 1e-5,
         else:
             frozen = (_freeze_decision(dec0), None)
             kink = _kink_gap(experts, v0, dec0.indices)
-        if gap <= boundary_tol:
+        if gap <= _BOUNDARY_TOL:
             raise ValueError(f"probe point sits on a top-k boundary (gap {gap:.3e})")
 
         def fd_jacobian(frozen_arg):
             jac = np.zeros((d, d))
             for j in range(d):
                 vp, vm = x0.data.copy(), x0.data.copy()
-                vp[0, 0, j] += eps
-                vm[0, 0, j] -= eps
+                vp[0, 0, j] += _FD_EPS
+                vm[0, 0, j] -= _FD_EPS
                 jac[:, j] = (forward(Tensor(vp), frozen_arg).data.reshape(-1)
-                             - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * eps)
+                             - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * _FD_EPS)
             return jac
 
         j_full = fd_jacobian(None)
@@ -190,7 +191,7 @@ def routing_stats(auxes: list[MoeAux], n_experts: int) -> tuple[float, np.ndarra
     return float(np.mean(entropies)), load
 
 
-def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | None = None) -> CollapseReport:
+def collapse_metrics(model, tokens: np.ndarray) -> CollapseReport:
     """Expert-output similarity, router entropy, and load statistics.
 
     Every token of the batch is pushed through all N experts of each layer
@@ -201,7 +202,7 @@ def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | No
     if tokens.size < 64:
         raise ValueError("collapse_metrics wants at least 64 tokens")
     with no_grad():
-        _, auxes = model.lm_forward(tokens, mode="eval", collect_moe_inputs=True)
+        _, auxes = model.lm_forward(tokens, mode="eval")
 
     per_layer = []
     n = model.cfg.n_experts
@@ -227,7 +228,6 @@ def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | No
         router_entropy=entropy,
         expert_load=load,
         load_gini=gini(load),
-        per_k_bpc=dict(per_k_bpc or {}),
     )
 
 
@@ -235,7 +235,7 @@ def collapse_metrics(model, tokens: np.ndarray, per_k_bpc: dict[int, float] | No
 # FLOPs accounting
 
 
-def flops_per_token(cfg, k: int, seq_len: int | None = None, mode: str = "eval") -> FlopsReport:
+def flops_per_token(cfg, k: int, mode: str = "eval") -> FlopsReport:
     """Itemized per-token forward multiply-accumulates for the decoder stack.
 
     Counts linear maps only (norms and activations excluded): attention
@@ -248,7 +248,7 @@ def flops_per_token(cfg, k: int, seq_len: int | None = None, mode: str = "eval")
         raise ValueError(f"unknown mode '{mode}'")
     if not 0 <= k <= cfg.n_experts:
         raise ValueError(f"k={k} out of range [0, {cfg.n_experts}]")
-    t = int(seq_len if seq_len is not None else cfg.seq_len)
+    t = cfg.seq_len
     d, h, n, layers = cfg.d_model, cfg.d_exp, cfg.n_experts, cfg.n_layers
     two_path = cfg.variant == "s2moe" and mode == "train"
     paths = 2 if two_path else 1
@@ -286,8 +286,6 @@ def format_collapse_report(report: CollapseReport) -> str:
              f"load_gini = {report.load_gini!r}"]
     for i, c in enumerate(report.per_layer_cosine):
         lines.append(f"layer{i}.cosine = {c!r}")
-    for k in sorted(report.per_k_bpc):
-        lines.append(f"bpc.k{k} = {report.per_k_bpc[k]!r}")
     return "\n".join(lines)
 
 

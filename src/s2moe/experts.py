@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, combine_rows, gather_rows, matmul, mul, relu, reshape, take_pairs
+from .tensor import Tensor, add, combine_rows, gather_rows, matmul, mul, relu, reshape
 
 from .routing import RouterDecision
 
@@ -60,7 +60,8 @@ def moe_combine(x: Tensor, decision: RouterDecision, bank: ExpertBank) -> Tensor
 
     m = b * t
     x_flat = reshape(x, (m, d))
-    gates_flat = reshape(decision.gates, (m, n))
+    # one gate per row, so expert i's gate for token r is row r * n + i
+    gate_rows = reshape(decision.gates, (m * n, 1))
     idx_flat = decision.indices.reshape(m, -1)
 
     segments = []
@@ -71,8 +72,7 @@ def moe_combine(x: Tensor, decision: RouterDecision, bank: ExpertBank) -> Tensor
         tokens = gather_rows(x_flat, rows)
         out_i = bank.apply(tokens, i)
         bank.invocations += int(rows.size)
-        g = reshape(take_pairs(gates_flat, rows, np.full(rows.size, i)), (rows.size, 1))
-        segments.append((rows, mul(g, out_i)))
+        segments.append((rows, mul(gather_rows(gate_rows, rows * n + i), out_i)))
     if not segments:
         raise ValueError("no expert selected for any token")
     return reshape(combine_rows(segments, m), (b, t, d))

@@ -17,20 +17,6 @@ from .tensor import Tensor, cross_entropy_logits, div, matmul, mul, power, trans
 
 
 @dataclass
-class LossBreakdown:
-    """All loss terms for one step, as plain floats plus the differentiable total."""
-
-    task_nats: float
-    bpc: float
-    ppl: float
-    balance: float
-    uncertainty: float
-    alpha: float
-    beta: float
-    total: float
-
-
-@dataclass
 class PooledPair:
     """Per-sequence mean-pooled MoE-layer inputs and their noisy counterparts."""
 
@@ -101,18 +87,3 @@ def total_loss(task: Tensor, balance: Tensor | None, uncertainty: Tensor | None,
     if uncertainty is not None and beta != 0.0:
         out = out + uncertainty * beta
     return out
-
-
-def breakdown(task_nats: float, balance: float, uncertainty: float,
-              alpha: float, beta: float) -> LossBreakdown:
-    """Assemble the reporting record from scalar values."""
-    return LossBreakdown(
-        task_nats=task_nats,
-        bpc=task_nats / math.log(2.0),
-        ppl=math.exp(task_nats),
-        balance=balance,
-        uncertainty=uncertainty,
-        alpha=alpha,
-        beta=beta,
-        total=task_nats + alpha * balance + beta * uncertainty,
-    )

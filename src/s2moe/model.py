@@ -18,7 +18,7 @@ from .stochastic import RngStream
 from .tensor import (
     Tensor,
     add,
-    embedding,
+    gather_rows,
     layernorm,
     matmul,
     mul,
@@ -132,15 +132,14 @@ class DecoderBlock:
         named += [(f"moe.{n}", t) for n, t in self.moe.parameters()]
         return named
 
-    def forward(self, x: Tensor, k: int, train: bool, rng: RngStream | None,
-                collect_input: bool = False) -> tuple[Tensor, MoeAux]:
+    def forward(self, x: Tensor, k: int, train: bool, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
         a = self.attn.forward(_affine_norm(x, self.ln1_g, self.ln1_b))
         x = add(x, _dropout(a, self.dropout, train, rng))
         h = _affine_norm(x, self.ln2_g, self.ln2_b)
         if self.is_stochastic:
-            m, aux = self.moe.forward(h, k, train=train, rng=rng, collect_input=collect_input)
+            m, aux = self.moe.forward(h, k, train=train, rng=rng)
         else:
-            m, aux = self.moe.forward(h, k, train=train, collect_input=collect_input)
+            m, aux = self.moe.forward(h, k, train=train)
         x = add(x, _dropout(m, self.dropout, train, rng))
         return x, aux
 
@@ -192,8 +191,7 @@ class LanguageModel:
         self.k_eval = k
 
     def lm_forward(self, tokens: np.ndarray, mode: str = "train",
-                   rng: RngStream | None = None, k: int | None = None,
-                   collect_moe_inputs: bool = False) -> tuple[Tensor, list[MoeAux]]:
+                   rng: RngStream | None = None, k: int | None = None) -> tuple[Tensor, list[MoeAux]]:
         """Logits (B, T, V) plus per-layer routing/pooled auxiliaries."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode '{mode}'")
@@ -209,18 +207,13 @@ class LanguageModel:
         if k is None:
             k = self.cfg.k_train if train else self.k_eval
 
-        x = embedding(self.embed, tokens)
-        x = _dropout(add(x, gather_pos(self.pos, t)), self.cfg.dropout, train, rng)
+        x = add(gather_rows(self.embed, tokens), gather_rows(self.pos, np.arange(t)))
+        x = _dropout(x, self.cfg.dropout, train, rng)
 
         auxes: list[MoeAux] = []
         for blk in self.blocks:
-            x, aux = blk.forward(x, k, train, rng, collect_input=collect_moe_inputs)
+            x, aux = blk.forward(x, k, train, rng)
             auxes.append(aux)
         h = _affine_norm(x, self.lnf_g, self.lnf_b)
         logits = matmul(h, transpose(self.embed, (1, 0)))
         return logits, auxes
-
-
-def gather_pos(pos: Tensor, t: int) -> Tensor:
-    from .tensor import gather_rows
-    return gather_rows(pos, np.arange(t))

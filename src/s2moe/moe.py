@@ -33,7 +33,7 @@ class MoeAux:
     decision_noisy: RouterDecision | None = None
     pooled_clean: Tensor | None = None   # (B, d)
     pooled_noisy: Tensor | None = None   # (B, d)
-    moe_input: np.ndarray | None = None  # detached copy, only when requested
+    moe_input: np.ndarray | None = None  # the layer input x.data, not a copy
 
 
 class SmoeLayer:
@@ -45,8 +45,7 @@ class SmoeLayer:
                  rng_router: RngStream | None = None):
         self.d_model = d_model
         self.router: RouterParams = make_router(
-            n_experts, d_model, variant if variant != "s2moe" else "smoe",
-            rng_router if rng_router is not None else rng,
+            n_experts, d_model, variant, rng_router if rng_router is not None else rng,
             dtype=dtype, d_low=d_low, stage_boundary=stage_boundary, frozen_seed=frozen_seed)
         self.experts = ExpertBank(n_experts, d_model, d_expert, rng, dtype=dtype)
 
@@ -59,14 +58,9 @@ class SmoeLayer:
         named += self.experts.parameters()
         return named
 
-    def forward(self, x: Tensor, k: int, train: bool = True,
-                collect_input: bool = False) -> tuple[Tensor, MoeAux]:
+    def forward(self, x: Tensor, k: int, train: bool = True) -> tuple[Tensor, MoeAux]:
         decision = route(x, self.router, k)
-        y = moe_combine(x, decision, self.experts)
-        aux = MoeAux(decision=decision)
-        if collect_input:
-            aux.moe_input = x.data.copy()
-        return y, aux
+        return moe_combine(x, decision, self.experts), MoeAux(decision=decision, moe_input=x.data)
 
 
 class S2MoeLayer:
@@ -99,11 +93,11 @@ class S2MoeLayer:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return self.inner.parameters() + self.blend.parameters()
 
-    def forward(self, x: Tensor, k: int, train: bool = True, rng: RngStream | None = None,
-                collect_input: bool = False) -> tuple[Tensor, MoeAux]:
+    def forward(self, x: Tensor, k: int, train: bool = True,
+                rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
         """Train: g(x) * f(x) + (1 - g(x)) * f(x_hat). Eval: exactly f(x)."""
         if not train:
-            return self.inner.forward(x, k, train=False, collect_input=collect_input)
+            return self.inner.forward(x, k, train=False)
         if self.noise_enabled:
             if rng is None:
                 raise ValueError("train-mode stochastic forward needs an RngStream")
@@ -111,7 +105,7 @@ class S2MoeLayer:
             x_hat = perturb(x, stats, rng)
         else:
             x_hat = x
-        y_clean, aux = self.inner.forward(x, k, train=True, collect_input=collect_input)
+        y_clean, aux = self.inner.forward(x, k, train=True)
         decision_noisy = route(x_hat, self.inner.router, k)
         y_noisy = moe_combine(x_hat, decision_noisy, self.inner.experts)
         y = self.mix(x, y_clean, y_noisy)

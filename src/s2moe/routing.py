@@ -23,7 +23,6 @@ class RouterParams:
     w_e: Tensor                      # (N, d) expert embeddings
     variant: str = "smoe"            # smoe | smoe-dropout | xmoe | stablemoe
     frozen: bool = False
-    init_seed: int | None = None     # seed the frozen router was drawn from
     # xmoe extras
     w_down: Tensor | None = None     # (d_low, d) down-projection
     emb_low: Tensor | None = None    # (N, d_low) low-dimensional embeddings
@@ -73,8 +72,7 @@ def make_router(n_experts: int, d_model: int, variant: str, rng, dtype=np.float3
         from .stochastic import RngStream
         stream = RngStream(frozen_seed if frozen_seed is not None else 0)
         w = stream.normal((n_experts, d_model), scale=scale).astype(dtype)
-        return RouterParams(w_e=Tensor(w, requires_grad=False), variant=variant,
-                            frozen=True, init_seed=frozen_seed)
+        return RouterParams(w_e=Tensor(w, requires_grad=False), variant=variant, frozen=True)
     w = Tensor(rng.normal((n_experts, d_model), scale=scale).astype(dtype), requires_grad=True)
     params = RouterParams(w_e=w, variant=variant)
     if variant == "xmoe":
@@ -95,8 +93,7 @@ def topk_mask(probs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Ties break toward the lowest index; unselected entries are exactly 0.
     """
     probs = np.asarray(probs)
-    order = np.argsort(-probs, kind="stable")
-    indices = order[:k]
+    indices = _topk_indices_batched(probs, k)
     gates = np.zeros_like(probs)
     gates[indices] = probs[indices]
     return indices, gates
@@ -148,16 +145,12 @@ def dropout_schedule_k(step: int, total_steps: int, n_experts: int) -> int:
     return max(1, min(k, n_experts))
 
 
-def stablemoe_mode(step: int, stage_boundary: int) -> str:
-    """Stage 1 trains the router; stage 2 freezes a snapshot of it."""
-    return "learned" if step < stage_boundary else "frozen"
-
-
 def stablemoe_update(params: RouterParams, step: int) -> None:
-    """Apply the two-stage policy at ``step``: snapshot and freeze exactly once."""
+    """Apply the two-stage policy at ``step``: stage 1 trains the router; from
+    ``stage_boundary`` on, a snapshot of it is taken exactly once and frozen."""
     if params.variant != "stablemoe" or params.stage_boundary is None:
         return
-    if stablemoe_mode(step, params.stage_boundary) == "frozen" and params.snapshot is None:
+    if step >= params.stage_boundary and params.snapshot is None:
         params.snapshot = params.w_e.data.copy()
         params.snapshot_step = step
         params.snapshot_events += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,12 +47,11 @@ def set_nan_guard(enabled: bool) -> None:
 class _Record:
     """One tape entry: the op, its inputs, and how to push gradients back."""
 
-    __slots__ = ("op", "inputs", "out_id", "backward_fn")
+    __slots__ = ("op", "inputs", "backward_fn")
 
-    def __init__(self, op, inputs, out_id, backward_fn):
+    def __init__(self, op, inputs, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.out_id = out_id
         self.backward_fn = backward_fn
 
 
@@ -143,9 +142,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -197,7 +193,7 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
         tape = active_tape()
         out.tape = tape
         out._generation = tape._generation
-        out.node_id = tape.append(_Record(op, tuple(inputs), len(tape), backward_fn))
+        out.node_id = tape.append(_Record(op, tuple(inputs), backward_fn))
     return out
 
 
@@ -403,22 +399,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish("mean", out, (a,), bw)
 
 
-def variance(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Population variance (ddof 0) over the given axes."""
-    axes = _axis_tuple(axis, a.data.ndim)
-    n = int(np.prod([a.shape[ax] for ax in axes])) if axes else 1
-    mu = a.data.mean(axis=axes, keepdims=True)
-    centered = a.data - mu
-    out = (centered * centered).mean(axis=axes, keepdims=keepdims)
-
-    def bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axes) if axes else g
-        return [2.0 * centered * g / n]
-
-    return _finish("variance", out, (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -442,18 +422,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         return [np.transpose(g, inv)]
 
     return _finish("transpose", out, (a,), bw)
-
-
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return list(np.split(g, splits, axis=axis))
-
-    return _finish("concat", out, tuple(tensors), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -486,23 +454,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# lookup / scatter
-
-
-def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup ``weight[ids]``; gradient scatter-adds into the table."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
-        raise ShapeError(f"embedding-lookup: ids outside [0, {weight.shape[0]}) for table {weight.shape}")
-    out = weight.data[ids]
-    w_shape, w_dtype = weight.shape, weight.dtype
-
-    def bw(g):
-        gw = np.zeros(w_shape, dtype=w_dtype)
-        np.add.at(gw, ids, g)
-        return [gw]
-
-    return _finish("embedding-lookup", out, (weight,), bw)
+# row gather / combine
 
 
 def _strictly_increasing(idx: np.ndarray) -> bool:
@@ -510,8 +462,11 @@ def _strictly_increasing(idx: np.ndarray) -> bool:
 
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows along axis 0."""
+    """Rows ``a[idx]`` for an index array of any shape; the gradient
+    scatter-adds back into the rows, so repeated indices accumulate."""
     idx = np.asarray(idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"gather-rows: index outside [0, {a.shape[0]}) for shape {a.shape}")
     out = a.data[idx]
     a_shape, a_dtype = a.shape, a.dtype
     unique = _strictly_increasing(idx)
@@ -525,40 +480,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return [ga]
 
     return _finish("gather-rows", out, (a,), bw)
-
-
-def scatter_rows(idx: np.ndarray, rows: Tensor, size: int) -> Tensor:
-    """Place ``rows`` at positions ``idx`` of a zero array with ``size`` rows.
-
-    Duplicate indices accumulate.
-    """
-    idx = np.asarray(idx)
-    out = np.zeros((size,) + rows.shape[1:], dtype=rows.dtype)
-    np.add.at(out, idx, rows.data)
-
-    def bw(g):
-        return [g[idx]]
-
-    return _finish("scatter-rows", out, (rows,), bw)
-
-
-def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Fancy-index a 2-D tensor at (rows[i], cols[i]) pairs."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = a.data[rows, cols]
-    a_shape, a_dtype = a.shape, a.dtype
-    unique = _strictly_increasing(rows)
-
-    def bw(g):
-        ga = np.zeros(a_shape, dtype=a_dtype)
-        if unique:
-            ga[rows, cols] = g
-        else:
-            np.add.at(ga, (rows, cols), g)
-        return [ga]
-
-    return _finish("take-pairs", out, (a,), bw)
 
 
 def combine_rows(segments: list[tuple[np.ndarray, "Tensor"]], size: int) -> Tensor:
@@ -581,7 +502,7 @@ def combine_rows(segments: list[tuple[np.ndarray, "Tensor"]], size: int) -> Tens
     def bw(g):
         return [g[idx] for idx in idxs]
 
-    return _finish("scatter-rows", out, tuple(inputs), bw)
+    return _finish("combine-rows", out, tuple(inputs), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ precision).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import time
@@ -24,8 +25,6 @@ from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
 from .tensor import NonFiniteError, Tape, backward, no_grad
-
-METRICS_HEADER = "step,task_nats,bpc,balance,uncertainty,total,router_entropy,expert_load_gini,k,wall_ms"
 
 # stream ids under (seed << 8)
 _STREAM_BATCH = 3
@@ -51,19 +50,20 @@ class MetricsRow:
     wall_ms: float
 
     def to_line(self) -> str:
-        return (f"{self.step},{self.task_nats!r},{self.bpc!r},{self.balance!r},"
-                f"{self.uncertainty!r},{self.total!r},{self.router_entropy!r},"
-                f"{self.expert_load_gini!r},{self.k},{self.wall_ms!r}")
+        """One column per field, in declaration order; floats as repr, so they round-trip."""
+        return ",".join(str(getattr(self, f.name)) if f.type == "int" else repr(getattr(self, f.name))
+                        for f in dataclasses.fields(self))
 
     @classmethod
     def from_line(cls, line: str) -> "MetricsRow":
         parts = line.strip().split(",")
-        if len(parts) != 10:
-            raise ValueError(f"metrics row has {len(parts)} fields, want 10: '{line}'")
-        return cls(step=int(parts[0]), task_nats=float(parts[1]), bpc=float(parts[2]),
-                   balance=float(parts[3]), uncertainty=float(parts[4]), total=float(parts[5]),
-                   router_entropy=float(parts[6]), expert_load_gini=float(parts[7]),
-                   k=int(parts[8]), wall_ms=float(parts[9]))
+        columns = dataclasses.fields(cls)
+        if len(parts) != len(columns):
+            raise ValueError(f"metrics row has {len(parts)} fields, want {len(columns)}: '{line}'")
+        return cls(*(int(p) if f.type == "int" else float(p) for f, p in zip(columns, parts)))
+
+
+METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(MetricsRow))
 
 
 def parse_metrics(path: str) -> list[MetricsRow]:
@@ -74,19 +74,11 @@ def parse_metrics(path: str) -> list[MetricsRow]:
     return [MetricsRow.from_line(ln) for ln in lines[1:]]
 
 
-def metrics_equal(path_a: str, path_b: str, ignore_wall: bool = True) -> bool:
-    """Bitwise comparison of two metrics files (wall_ms excluded by default)."""
+def metrics_equal(path_a: str, path_b: str) -> bool:
+    """Bitwise comparison of two metrics files, the wall_ms column excluded."""
     a, b = parse_metrics(path_a), parse_metrics(path_b)
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        fields_a = ra.to_line().split(",")
-        fields_b = rb.to_line().split(",")
-        if ignore_wall:
-            fields_a, fields_b = fields_a[:-1], fields_b[:-1]
-        if fields_a != fields_b:
-            return False
-    return True
+    return len(a) == len(b) and all(ra.to_line().rsplit(",", 1)[0] == rb.to_line().rsplit(",", 1)[0]
+                                    for ra, rb in zip(a, b))
 
 
 class Adam:
@@ -197,6 +189,19 @@ def _restore(model: LanguageModel, ck: Checkpoint) -> None:
             stablemoe_update(blk.moe.router, min(ck.step, boundary))
 
 
+# fields a resume may change: where the run writes, how far it goes, how often it reports
+_RESUME_MAY_CHANGE = ("out_dir", "steps", "eval_interval", "ckpt_interval")
+
+
+def _check_resume_config(cfg: RunConfig, echoed: RunConfig) -> None:
+    """Refuse to resume under a config that differs from the checkpoint's echo."""
+    diffs = [f"{f.name}: checkpoint {getattr(echoed, f.name)!r}, run {getattr(cfg, f.name)!r}"
+             for f in dataclasses.fields(RunConfig)
+             if f.name not in _RESUME_MAY_CHANGE and getattr(cfg, f.name) != getattr(echoed, f.name)]
+    if diffs:
+        raise ValueError("resume config differs from the checkpoint's: " + "; ".join(diffs))
+
+
 def load_run(ckpt_path: str) -> tuple[RunConfig, Corpus, LanguageModel]:
     """Rebuild a run from its checkpoint: config echo, corpus, and the restored model."""
     ck = load_checkpoint(ckpt_path)
@@ -221,6 +226,7 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     start_step = 0
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
+        _check_resume_config(cfg, parse_config_text(ck.config_text))
         _restore(model, ck)
         adam.load_state(ck.tensor_dict())
         start_step = ck.step
@@ -338,11 +344,19 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
 
     collapse = None
     if with_collapse:
-        n_batch = max(1, math.ceil(64 / cfg.seq_len))
-        x, _ = make_batch(tokens, cfg.seq_len, range(min(n_batch, pairs)))
-        collapse = collapse_metrics(model, x)
+        collapse = collapse_metrics(model, collapse_batch(tokens, cfg.seq_len, split))
     return EvalResult(bpc=mean_nats / math.log(2), ppl=math.exp(mean_nats),
                       nats=mean_nats, n_tokens=count, k=k, collapse=collapse)
+
+
+def collapse_batch(tokens: np.ndarray, seq_len: int, split: str) -> np.ndarray:
+    """The collapse report's batch: the first ceil(64 / seq_len) windows of a
+    split, or all of them if it has fewer."""
+    pairs = pair_count(tokens, seq_len)
+    if pairs == 0:
+        raise ValueError(f"split '{split}' shorter than one sequence")
+    x, _ = make_batch(tokens, seq_len, range(min(math.ceil(64 / seq_len), pairs)))
+    return x
 
 
 def evaluate_checkpoint(ckpt_path: str, k: int, split: str,

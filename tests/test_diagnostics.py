@@ -119,7 +119,7 @@ class TestCollapseMetrics:
         # oracle: recompute with explicit loops from the layer inputs
         from s2moe.tensor import no_grad
         with no_grad():
-            _, auxes = model.lm_forward(tokens, mode="eval", collect_moe_inputs=True)
+            _, auxes = model.lm_forward(tokens, mode="eval")
         x = auxes[0].moe_input.reshape(-1, 16)
         bank = model.blocks[0].moe.experts
         outs = []

@@ -10,10 +10,11 @@ import pytest
 
 from s2moe.checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
 from s2moe.config import load_config, parse_config_text, preset
-from s2moe.data import ingest_corpus, sample_count, samples
+from s2moe.data import ingest_corpus
 from s2moe.train import (
     TrainAbort,
     build_model,
+    collapse_batch,
     evaluate_checkpoint,
     evaluate_model,
     metrics_equal,
@@ -34,8 +35,7 @@ class TestIngest:
         corpus = ingest_corpus(str(path), splits=(1.0, 0.0, 0.0))
         assert corpus.vocab_bytes == [ord("a"), ord("b")]
         assert corpus.vocab_size == 3  # a, b, unk
-        assert sample_count(corpus.train, 2) == 2
-        np.testing.assert_array_equal(samples(corpus.train, 2), [[0, 1], [0, 1]])
+        np.testing.assert_array_equal(corpus.train, [0, 1, 0, 1])
 
     def test_split_boundaries_integer_oracle(self, tmp_path):
         n = 1_000_000
@@ -245,6 +245,17 @@ class TestTraining:
             open(uninterrupted).read().splitlines()[:3]
         assert metrics_equal(uninterrupted, resumed.metrics_path)
 
+    @pytest.mark.parametrize("override", [{"lr": 0.5}, {"seed": 99}], ids=["lr", "seed"])
+    def test_resume_refuses_mismatched_config(self, small_corpus, tmp_path, override):
+        cfg = tiny_run_config(small_corpus, tmp_path / "run")
+        train(cfg)
+        changed = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"), **override)
+        with pytest.raises(ValueError) as err:
+            train(changed, resume_from=os.path.join(cfg.out_dir, "ckpt-0000003.bin"))
+        (name, value), = override.items()
+        assert f"{name}: checkpoint {getattr(cfg, name)!r}, run {value!r}" in str(err.value)
+        assert not os.path.exists(changed.out_dir)
+
     def test_stablemoe_restored_frozen_past_boundary(self, small_corpus, tmp_path, monkeypatch):
         cfg = tiny_run_config(small_corpus, tmp_path / "sm", variant="stablemoe",
                               steps=6, stage_boundary=2, ckpt_interval=4)
@@ -381,6 +392,16 @@ class TestEvaluate:
         assert len({f.items["attention_mix"] for f in flops.values()}) == 1
         assert flops[4].items["experts"] == 4 * flops[1].items["experts"]
         assert len(results) == 3
+
+    def test_collapse_batch_takes_ceil_64_over_seq_len_windows(self):
+        tokens = np.arange(1000)
+        assert collapse_batch(tokens, 32, "val").shape == (2, 32)
+        assert collapse_batch(tokens, 5, "val").shape == (13, 5)
+        np.testing.assert_array_equal(collapse_batch(tokens, 128, "val"), tokens[None, :128])
+
+    def test_collapse_batch_refuses_split_shorter_than_a_window(self):
+        with pytest.raises(ValueError, match="split 'test'"):
+            collapse_batch(np.arange(20), 32, "test")
 
     def test_k_out_of_range_rejected(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "badk", steps=2)

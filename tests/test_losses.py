@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s2moe.losses import PooledPair, balance_loss, breakdown, task_loss, total_loss, uncertainty_loss
+from s2moe.losses import PooledPair, balance_loss, task_loss, total_loss, uncertainty_loss
 from s2moe.routing import RouterDecision
 from s2moe.tensor import Tensor, grad_check
 
@@ -181,12 +181,6 @@ class TestTotalLoss:
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ValueError):
             total_loss(Tensor(np.asarray(1.0)), None, None, -0.1, 0.0)
-
-    def test_breakdown_invariants(self):
-        lb = breakdown(task_nats=2.0, balance=1.0, uncertainty=0.5, alpha=0.01, beta=0.1)
-        assert lb.bpc == pytest.approx(2.0 / math.log(2))
-        assert lb.ppl == pytest.approx(math.exp(2.0))
-        assert lb.total == pytest.approx(2.06)
 
 
 class TestLossGradients:

@@ -12,7 +12,6 @@ from s2moe.routing import (
     dropout_schedule_k,
     make_router,
     route,
-    stablemoe_mode,
     stablemoe_update,
     topk_mask,
 )
@@ -131,10 +130,6 @@ class TestSchedules:
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
             dropout_schedule_k(0, 0, 4)
-
-    def test_stablemoe_mode(self):
-        assert stablemoe_mode(4, 5) == "learned"
-        assert stablemoe_mode(5, 5) == "frozen"
 
     def test_stablemoe_snapshot_taken_exactly_once(self):
         params = smoe_router(4, 3, variant="stablemoe", stage_boundary=40)

@@ -13,10 +13,8 @@ from s2moe.tensor import (
     Tape,
     Tensor,
     backward,
-    concat,
     cross_entropy_logits,
     div,
-    embedding,
     gather_rows,
     grad_check,
     layernorm,
@@ -27,14 +25,11 @@ from s2moe.tensor import (
     power,
     relu,
     reshape,
-    scatter_rows,
     set_nan_guard,
     sigmoid,
     softmax,
-    take_pairs,
     tsum,
     transpose,
-    variance,
 )
 from s2moe.tensor import exp as texp, log as tlog
 
@@ -78,6 +73,12 @@ class TestForwardDefinitions:
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(ShapeError):
             cross_entropy_logits(t64(np.zeros((2, 5))), np.array([0, 5]))
+
+    @pytest.mark.parametrize("idx", [[[0, -1]], [0, 3]], ids=["negative", "past-last-row"])
+    def test_gather_rows_rejects_index_outside_rows(self, idx):
+        with pytest.raises(ShapeError) as err:
+            gather_rows(t64(np.zeros((3, 2))), np.array(idx))
+        assert "(3, 2)" in str(err.value)
 
 
 class TestBackward:
@@ -185,7 +186,6 @@ def test_primitive_gradients_match_finite_differences(seed):
     c1 = Tensor(rng.standard_normal((3, d)), dtype=F64)
     c2 = Tensor(rng.standard_normal((3, d)), dtype=F64)
     c3 = Tensor(rng.standard_normal((3, d)), dtype=F64)
-    c4 = Tensor(rng.standard_normal((6, d)), dtype=F64)
     targets = rng.integers(0, d, size=3)
 
     cases = {
@@ -196,12 +196,14 @@ def test_primitive_gradients_match_finite_differences(seed):
         "softmax": lambda x: tsum(mul(softmax(x, axis=-1), c1)),
         "layer-norm": lambda x: tsum(mul(layernorm(x), c2)),
         "log/exp/pow": lambda x: tsum(tlog(texp(x) + 1.0)) + tsum(power(x * x + 1.0, 0.5)),
-        "mean/variance": lambda x: mean(x) + tsum(variance(x, axis=-1)),
+        "mean": lambda x: mean(x) + tsum(mean(mul(x, x), axis=-1)),
         "reshape/transpose": lambda x: tsum(mul(transpose(reshape(x, (d, 3)), (1, 0)), c3)),
-        "gather/scatter": lambda x: tsum(scatter_rows(idx, gather_rows(x, idx), 3)),
-        "take-pairs": lambda x: tsum(take_pairs(x, rows, cols)),
-        "embedding": lambda x: tsum(embedding(x, idx)),
-        "concat": lambda x: tsum(mul(concat([x, x], axis=0), c4)),
+        # repeated rows accumulate; 2-D ids as in the token embedding; distinct
+        # increasing flat (row, col) pairs as in the expert gates
+        "gather-rows": lambda x: tsum(power(gather_rows(x, idx), 2.0)),
+        "gather-rows 2-D ids": lambda x: tsum(power(gather_rows(x, idx.reshape(2, 2)), 2.0)),
+        "gather-rows pairs": lambda x: tsum(power(gather_rows(reshape(x, (3 * d, 1)),
+                                                              np.unique(rows * d + cols)), 2.0)),
         "cross-entropy": lambda x: cross_entropy_logits(x, targets),
     }
     point = t64(rng.standard_normal((3, d)))
@@ -222,7 +224,9 @@ def test_smooth_composition_invariant(seed):
 
     def f(x):
         h = sigmoid(matmul(layernorm(x), w))
-        return tsum(mul(softmax(h, axis=-1), c)) + mean(x) + tsum(variance(x, axis=-1)) * 0.1
+        xc = x - mean(x, axis=-1, keepdims=True)
+        var = tsum(mean(mul(xc, xc), axis=-1))
+        return tsum(mul(softmax(h, axis=-1), c)) + mean(x) + var * 0.1
 
     err = grad_check(f, t64(rng.standard_normal((rows, d))), epsilon=1e-5)
     assert err < 1e-4
