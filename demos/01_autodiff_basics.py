@@ -1,8 +1,10 @@
 # Tensors, tapes, and gradient checking
 # -------------------------------------
 # The library computes on a small reverse-mode autodiff engine over numpy
-# arrays. Ops record themselves on a tape; backward() replays the records in
-# reverse and deposits gradients on the leaves.
+# arrays. Inside a `with Tape():` block ops record themselves on the tape;
+# backward() replays the records in reverse and deposits gradients on the
+# leaves. Outside a block nothing records, and leaving the block drops the
+# records, so the graph lives exactly as long as the block.
 
 import numpy as np
 

@@ -8,7 +8,6 @@ from .tensor import (
     Tape,
     backward,
     grad_check,
-    no_grad,
     set_nan_guard,
     TensorError,
     ShapeError,

@@ -20,7 +20,7 @@ from .diagnostics import (
 )
 from .routing import VARIANTS
 from .stochastic import RngStream, compute_batch_stats
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 from .train import TrainAbort, collapse_batch, evaluate_checkpoint, load_run, train
 
 USAGE_ERROR, RUNTIME_ERROR = 1, 2
@@ -114,8 +114,7 @@ def _cmd_probe(args) -> int:
         raise _UsageError(f"--layer {args.layer} out of range [0, {cfg.n_layers})")
 
     x = collapse_batch(corpus.val, cfg.seq_len, "val")
-    with no_grad():
-        _, auxes = model.lm_forward(x, mode="eval")
+    _, auxes = model.lm_forward(x, mode="eval")
     layer = model.blocks[args.layer].moe
     acts = auxes[args.layer].moe_input.reshape(-1, cfg.d_model)
     stats = compute_batch_stats(Tensor(acts))

@@ -18,8 +18,8 @@ import numpy as np
 from .experts import moe_combine
 from .moe import MoeAux, S2MoeLayer
 from .routing import RouterDecision, route
-from .stochastic import RngStream, compute_batch_stats, perturb
-from .tensor import Tape, Tensor, backward, mul, no_grad, tsum
+from .stochastic import RngStream, perturb
+from .tensor import Tape, Tensor, backward, mul, tsum
 
 
 @dataclass
@@ -85,10 +85,11 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
                    noise_rng: RngStream | None = None, stats=None) -> JacobianReport:
     """Probe the layer Jacobian at one token and decompose out the routing term.
 
-    For a stochastic layer a single noise draw is frozen for the whole probe,
-    so the map under test is deterministic; pass ``stats`` from a context
-    batch, otherwise the single-token stats degenerate to sigma = 0. Probe
-    points whose top-k margin is at most ``_BOUNDARY_TOL`` are rejected.
+    A stochastic layer needs ``stats`` from a context batch (single-token
+    stats would degenerate to sigma = 0) and ``noise_rng``, whose one noise
+    draw is frozen for the whole probe so the map under test is
+    deterministic. Probe points whose top-k margin is at most
+    ``_BOUNDARY_TOL`` are rejected.
     """
     v0 = np.asarray(x_token, dtype=np.float64).reshape(-1)
     d = v0.size
@@ -96,10 +97,10 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
 
     stochastic = isinstance(layer, S2MoeLayer)
     if stochastic:
-        if stats is None:
-            stats = compute_batch_stats(Tensor(v0.reshape(1, 1, d)))
-        rng = noise_rng if noise_rng is not None else RngStream(0)
-        draw = (rng.seed, rng.counter)  # every forward replays this one noise draw
+        for name, value in (("stats", stats), ("noise_rng", noise_rng)):
+            if value is None:
+                raise ValueError(f"jacobian_probe: a stochastic layer needs {name}")
+        draw = (noise_rng.seed, noise_rng.counter)  # every forward replays this one noise draw
 
     def forward(x: Tensor, frozen: tuple | None) -> Tensor:
         """Layer output at input x; frozen=(dec, dec_noisy) pins routing."""
@@ -111,35 +112,34 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
             y = layer.mix(x, y, moe_combine(x_hat, dec_n, experts))
         return y
 
-    with no_grad():
-        x0 = Tensor(v0.reshape(1, 1, d))
-        dec0 = route(x0, router, k)
-        gap = _boundary_gap(dec0.probs.data[0, 0], k)
-        if stochastic:
-            xh0 = perturb(x0, stats, rng)
-            dec0_n = route(xh0, router, k)
-            gap = min(gap, _boundary_gap(dec0_n.probs.data[0, 0], k))
-            frozen = (_freeze_decision(dec0), _freeze_decision(dec0_n))
-            kink = min(_kink_gap(experts, v0, dec0.indices),
-                       _kink_gap(experts, xh0.data.reshape(-1), dec0_n.indices))
-        else:
-            frozen = (_freeze_decision(dec0), None)
-            kink = _kink_gap(experts, v0, dec0.indices)
-        if gap <= _BOUNDARY_TOL:
-            raise ValueError(f"probe point sits on a top-k boundary (gap {gap:.3e})")
+    x0 = Tensor(v0.reshape(1, 1, d))
+    dec0 = route(x0, router, k)
+    gap = _boundary_gap(dec0.probs.data[0, 0], k)
+    if stochastic:
+        xh0 = perturb(x0, stats, noise_rng)
+        dec0_n = route(xh0, router, k)
+        gap = min(gap, _boundary_gap(dec0_n.probs.data[0, 0], k))
+        frozen = (_freeze_decision(dec0), _freeze_decision(dec0_n))
+        kink = min(_kink_gap(experts, v0, dec0.indices),
+                   _kink_gap(experts, xh0.data.reshape(-1), dec0_n.indices))
+    else:
+        frozen = (_freeze_decision(dec0), None)
+        kink = _kink_gap(experts, v0, dec0.indices)
+    if gap <= _BOUNDARY_TOL:
+        raise ValueError(f"probe point sits on a top-k boundary (gap {gap:.3e})")
 
-        def fd_jacobian(frozen_arg):
-            jac = np.zeros((d, d))
-            for j in range(d):
-                vp, vm = x0.data.copy(), x0.data.copy()
-                vp[0, 0, j] += _FD_EPS
-                vm[0, 0, j] -= _FD_EPS
-                jac[:, j] = (forward(Tensor(vp), frozen_arg).data.reshape(-1)
-                             - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * _FD_EPS)
-            return jac
+    def fd_jacobian(frozen_arg):
+        jac = np.zeros((d, d))
+        for j in range(d):
+            vp, vm = x0.data.copy(), x0.data.copy()
+            vp[0, 0, j] += _FD_EPS
+            vm[0, 0, j] -= _FD_EPS
+            jac[:, j] = (forward(Tensor(vp), frozen_arg).data.reshape(-1)
+                         - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * _FD_EPS)
+        return jac
 
-        j_full = fd_jacobian(None)
-        j_fixed = fd_jacobian(frozen)
+    j_full = fd_jacobian(None)
+    j_fixed = fd_jacobian(frozen)
 
     # autodiff rows of the full map for the FD cross-check
     j_auto = np.zeros((d, d))
@@ -201,24 +201,22 @@ def collapse_metrics(model, tokens: np.ndarray) -> CollapseReport:
     tokens = np.asarray(tokens)
     if tokens.size < 64:
         raise ValueError("collapse_metrics wants at least 64 tokens")
-    with no_grad():
-        _, auxes = model.lm_forward(tokens, mode="eval")
+    _, auxes = model.lm_forward(tokens, mode="eval")
 
     per_layer = []
     n = model.cfg.n_experts
-    with no_grad():
-        for blk, aux in zip(model.blocks, auxes):
-            x = aux.moe_input.reshape(-1, model.cfg.d_model)
-            bank = blk.moe.experts
-            outs = np.stack([bank.apply(Tensor(x), i).data for i in range(n)])  # (N, M, d)
-            norms = np.linalg.norm(outs, axis=-1)
-            norms = np.maximum(norms, 1e-12)
-            unit = outs / norms[..., None]
-            cos_acc = []
-            for i in range(n):
-                for j in range(i + 1, n):
-                    cos_acc.append(float(np.mean(np.sum(unit[i] * unit[j], axis=-1))))
-            per_layer.append(float(np.mean(cos_acc)))
+    for blk, aux in zip(model.blocks, auxes):
+        x = aux.moe_input.reshape(-1, model.cfg.d_model)
+        bank = blk.moe.experts
+        outs = np.stack([bank.apply(Tensor(x), i).data for i in range(n)])  # (N, M, d)
+        norms = np.linalg.norm(outs, axis=-1)
+        norms = np.maximum(norms, 1e-12)
+        unit = outs / norms[..., None]
+        cos_acc = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                cos_acc.append(float(np.mean(np.sum(unit[i] * unit[j], axis=-1))))
+        per_layer.append(float(np.mean(cos_acc)))
 
     entropy, load = routing_stats(auxes, n)
     load = load / load.sum()

@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-A ``Tensor`` wraps an ndarray; primitives record themselves on a ``Tape`` in
-execution order (which is a topological order), and ``backward`` replays the
-records in exact reverse order to accumulate gradients into the leaves.
+A ``Tensor`` wraps an ndarray; inside a ``with Tape():`` block primitives
+record themselves on the tape in execution order (which is a topological
+order), and ``backward`` replays the records in exact reverse order to
+accumulate gradients into the leaves. Outside every block nothing records.
 
 Precision is selectable per tensor: float32 is the training default, float64
 is used wherever gradients are verified against finite differences.
@@ -10,7 +11,6 @@ is used wherever gradients are verified against finite differences.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Callable, Sequence
 
@@ -58,61 +58,49 @@ class _Record:
 class Tape:
     """Ordered op records for one forward graph.
 
-    Records are appended in execution order, so the list is topologically
-    sorted by construction. ``clear()`` drops the records and invalidates
-    every node id handed out so far.
+    Ops record only inside a ``with Tape():`` block. Records are appended in
+    execution order, so the list is topologically sorted by construction.
+    Leaving the block drops the records, so the graph lives exactly as long
+    as the block; a tape is entered once.
     """
 
     def __init__(self):
         self._records: list[_Record] = []
         self._consumed: set[int] = set()
-        self._generation = 0
+        self._spent = False
 
     def __enter__(self) -> "Tape":
+        if self._spent:
+            raise GraphError("tape already used; open a new Tape()")
+        self._spent = True
         _tape_stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
         _tape_stack.pop()
+        self._records = []
+        self._consumed = set()
 
     def append(self, record: _Record) -> int:
         self._records.append(record)
         return len(self._records) - 1
 
-    def clear(self) -> None:
-        self._records = []
-        self._consumed = set()
-        self._generation += 1
-
     def __len__(self) -> int:
         return len(self._records)
 
 
-_default_tape = Tape()
-_tape_stack: list[Tape] = [_default_tape]
-_grad_enabled = True
+_tape_stack: list[Tape] = []
 
 
-def active_tape() -> Tape:
-    return _tape_stack[-1]
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Run ops without recording them; outputs do not require grad."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+def active_tape() -> Tape | None:
+    """The innermost open tape, or None outside every ``with Tape():`` block."""
+    return _tape_stack[-1] if _tape_stack else None
 
 
 class Tensor:
-    """Dense array with an optional handle onto the active tape."""
+    """Dense array with a handle onto the tape that recorded it, if any."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id", "tape", "_generation")
+    __slots__ = ("data", "requires_grad", "grad", "node_id", "tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -125,7 +113,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.node_id: int | None = None
         self.tape: Tape | None = None
-        self._generation = 0
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -144,9 +131,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -171,15 +155,11 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
-def _on_active_tape(t: Tensor) -> bool:
-    tape = active_tape()
-    return t.tape is tape and t.node_id is not None and t._generation == tape._generation
-
-
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], list]) -> Tensor:
-    """Wrap an op result, run the NaN guard, and record on the tape."""
-    requires = _grad_enabled and any(t.requires_grad for t in inputs)
+    """Wrap an op result, run the NaN guard, and record on the open tape."""
+    tape = active_tape()
+    requires = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
     if _nan_guard:
         # single-pass screen: any NaN/inf poisons the float64 sum; a finite
@@ -187,12 +167,10 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
         # sum warrants the exact (slower) check
         if not math.isfinite(float(np.sum(out_data, dtype=np.float64))):
             if not np.all(np.isfinite(out_data)):
-                raise NonFiniteError(
-                    f"op '{op}' produced non-finite values (tape position {len(active_tape())})")
+                where = f" (tape position {len(tape)})" if tape is not None else ""
+                raise NonFiniteError(f"op '{op}' produced non-finite values{where}")
     if requires:
-        tape = active_tape()
         out.tape = tape
-        out._generation = tape._generation
         out.node_id = tape.append(_Record(op, tuple(inputs), backward_fn))
     return out
 
@@ -200,14 +178,14 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf that requires grad.
 
-    The loss must be a scalar living on the current tape; a second backward
-    through the same node without re-running forward is rejected.
+    The loss must be a scalar recorded on the innermost open tape; a second
+    backward through the same node without re-running forward is rejected.
     """
     tape = loss.tape
-    if tape is None or loss.node_id is None:
+    if tape is None:
         raise GraphError("backward: tensor is detached from the tape")
-    if tape is not active_tape() or loss._generation != tape._generation:
-        raise GraphError("backward: tensor's tape is no longer active (cleared or replaced)")
+    if tape is not active_tape():
+        raise GraphError("backward: tensor's tape is no longer open (its block has exited)")
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     if loss.node_id in tape._consumed:
@@ -223,7 +201,7 @@ def backward(loss: Tensor) -> None:
         for t, g in zip(rec.inputs, input_grads):
             if g is None:
                 continue
-            if _on_active_tape(t):
+            if t.tape is tape:
                 nid = t.node_id
                 if nid in grads:
                     grads[nid] = grads[nid] + g
@@ -588,16 +566,18 @@ def grad_check(f: Callable[[Tensor], Tensor], point: Tensor, epsilon: float = 1e
 
     flat = point.data.reshape(-1).copy()
     numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            for sign in (+1.0, -1.0):
-                probe = flat.copy()
-                probe[i] += sign * epsilon
+    for i in range(flat.size):
+        for sign in (+1.0, -1.0):
+            probe = flat.copy()
+            probe[i] += sign * epsilon
+            try:
                 val = f(Tensor(probe.reshape(point.shape), dtype=point.dtype)).item()
-                if not np.isfinite(val):
-                    raise NonFiniteError(f"grad_check: f non-finite at perturbed coordinate {i}")
-                numeric[i] += sign * val
-            numeric[i] /= 2.0 * epsilon
+            except NonFiniteError as err:
+                raise NonFiniteError(f"grad_check: f non-finite at perturbed coordinate {i} ({err})") from err
+            if not np.isfinite(val):
+                raise NonFiniteError(f"grad_check: f non-finite at perturbed coordinate {i}")
+            numeric[i] += sign * val
+        numeric[i] /= 2.0 * epsilon
     numeric = numeric.reshape(point.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -24,7 +24,7 @@ from .losses import PooledPair, balance_loss, task_loss, total_loss, uncertainty
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
-from .tensor import NonFiniteError, Tape, backward, no_grad
+from .tensor import NonFiniteError, Tape, backward
 
 # stream ids under (seed << 8)
 _STREAM_BATCH = 3
@@ -335,8 +335,7 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     for start in range(0, pairs, cfg.batch_size):
         idx = range(start, min(start + cfg.batch_size, pairs))
         x, y = make_batch(tokens, cfg.seq_len, idx)
-        with no_grad():
-            logits, _ = model.lm_forward(x, "eval")
+        logits, _ = model.lm_forward(x, "eval")
         nats, _, _ = task_loss(logits, y)
         total_nats += nats.item() * x.size
         count += x.size

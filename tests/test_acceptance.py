@@ -21,7 +21,7 @@ from s2moe.model import LanguageModel, ModelConfig
 from s2moe.moe import S2MoeLayer, SmoeLayer
 from s2moe.routing import make_router, route, topk_mask
 from s2moe.stochastic import RngStream, compute_batch_stats
-from s2moe.tensor import Tape, Tensor, backward, grad_check, no_grad, softmax, tsum
+from s2moe.tensor import Tape, Tensor, backward, grad_check, softmax, tsum
 from s2moe.train import (
     _step_losses,
     build_model,
@@ -147,15 +147,14 @@ def _fd_model_param(model, cfg, param, tokens, targets, epsilon=1e-5):
 
     flat = param.data.reshape(-1)
     numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            vals = []
-            for sign in (+1.0, -1.0):
-                flat[i] = orig + sign * epsilon
-                vals.append(loss_value().item())
-            flat[i] = orig
-            numeric[i] = (vals[0] - vals[1]) / (2 * epsilon)
+    for i in range(flat.size):
+        orig = flat[i]
+        vals = []
+        for sign in (+1.0, -1.0):
+            flat[i] = orig + sign * epsilon
+            vals.append(loss_value().item())
+        flat[i] = orig
+        numeric[i] = (vals[0] - vals[1]) / (2 * epsilon)
     numeric = numeric.reshape(param.data.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -76,6 +76,15 @@ class TestJacobianProbe:
             jacobian_probe(layer, np.ones(6), k=2)
         assert "gap" in str(err.value)
 
+    def test_stochastic_layer_needs_stats_and_noise_rng(self):
+        layer = S2MoeLayer(8, 4, 6, RngStream(6), dtype=F64)
+        stats = compute_batch_stats(Tensor(np.random.default_rng(7).standard_normal((2, 4, 8))))
+        v = np.random.default_rng(8).standard_normal(8)
+        with pytest.raises(ValueError, match="needs stats"):
+            jacobian_probe(layer, v, k=2, noise_rng=RngStream(0))
+        with pytest.raises(ValueError, match="needs noise_rng"):
+            jacobian_probe(layer, v, k=2, stats=stats)
+
     def test_autodiff_matches_fd_for_smoe_and_eval_s2moe(self):
         layer = SmoeLayer(12, 3, 8, RngStream(5), dtype=F64)
         rep = probe_points(layer, k=2, d=12, n_points=1)[0]
@@ -117,9 +126,7 @@ class TestCollapseMetrics:
         rep = collapse_metrics(model, tokens)
 
         # oracle: recompute with explicit loops from the layer inputs
-        from s2moe.tensor import no_grad
-        with no_grad():
-            _, auxes = model.lm_forward(tokens, mode="eval")
+        _, auxes = model.lm_forward(tokens, mode="eval")
         x = auxes[0].moe_input.reshape(-1, 16)
         bank = model.blocks[0].moe.experts
         outs = []

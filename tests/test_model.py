@@ -5,7 +5,7 @@ import pytest
 
 from s2moe.model import LanguageModel, ModelConfig
 from s2moe.stochastic import RngStream
-from s2moe.tensor import Tape, backward, no_grad
+from s2moe.tensor import Tape, backward
 
 F64 = np.float64
 
@@ -66,13 +66,11 @@ class TestLmForward:
         model = LanguageModel(tiny_cfg())
         rng = np.random.default_rng(0)
         tokens = rng.integers(0, 5, size=(1, 6))
-        with no_grad():
-            base, _ = model.lm_forward(tokens, mode="eval")
+        base, _ = model.lm_forward(tokens, mode="eval")
         for pos in range(6):
             mutated = tokens.copy()
             mutated[0, pos] = (mutated[0, pos] + 1) % 5
-            with no_grad():
-                out, _ = model.lm_forward(mutated, mode="eval")
+            out, _ = model.lm_forward(mutated, mode="eval")
             delta = np.abs(out.data - base.data).max(axis=-1)[0]
             assert np.all(delta[:pos] == 0.0), f"position {pos} leaked backwards"
             assert delta[pos] > 0.0
@@ -80,8 +78,7 @@ class TestLmForward:
     def test_matches_straight_line_reference(self):
         model = LanguageModel(tiny_cfg())
         tokens = np.random.default_rng(1).integers(0, 5, size=(2, 4))
-        with no_grad():
-            logits, _ = model.lm_forward(tokens, mode="eval")
+        logits, _ = model.lm_forward(tokens, mode="eval")
         expect = reference_forward(model, tokens, k=2)
         np.testing.assert_allclose(logits.data, expect, rtol=1e-10, atol=1e-12)
 
@@ -89,9 +86,8 @@ class TestLmForward:
         a = LanguageModel(tiny_cfg(variant="smoe"))
         b = LanguageModel(tiny_cfg(variant="s2moe"))
         tokens = np.random.default_rng(2).integers(0, 5, size=(2, 5))
-        with no_grad():
-            la, _ = a.lm_forward(tokens, mode="eval")
-            lb, _ = b.lm_forward(tokens, mode="eval")
+        la, _ = a.lm_forward(tokens, mode="eval")
+        lb, _ = b.lm_forward(tokens, mode="eval")
         assert la.data.tobytes() == lb.data.tobytes()
 
     def test_rejects_long_sequences_and_bad_mode(self):
@@ -117,8 +113,7 @@ class TestInferenceK:
         model = LanguageModel(tiny_cfg())
         model.set_inference_k(4)
         tokens = np.random.default_rng(4).integers(0, 5, size=(1, 4))
-        with no_grad():
-            _, aux = model.lm_forward(tokens, mode="eval")
+        _, aux = model.lm_forward(tokens, mode="eval")
         np.testing.assert_array_equal(aux[0].decision.gates.data, aux[0].decision.probs.data)
 
     def test_invocation_counter_doubles_with_k(self):
@@ -129,8 +124,7 @@ class TestInferenceK:
             model.set_inference_k(k)
             for blk in model.blocks:
                 blk.moe.experts.invocations = 0
-            with no_grad():
-                model.lm_forward(tokens, mode="eval")
+            model.lm_forward(tokens, mode="eval")
             counts[k] = sum(blk.moe.experts.invocations for blk in model.blocks)
         assert counts[2] == 2 * counts[1] == 2 * 2 * 6
 
@@ -156,8 +150,7 @@ class TestInferenceK:
         outs = []
         for k in (1, 2, 4):
             model.set_inference_k(k)
-            with no_grad():
-                logits, _ = model.lm_forward(tokens, mode="eval")
+            logits, _ = model.lm_forward(tokens, mode="eval")
             outs.append(logits.data.copy())
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 
@@ -185,16 +178,15 @@ def grad_check_param(model, param, tokens, targets, epsilon=1e-5):
 
     flat = param.data.reshape(-1)
     numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            vals = []
-            for sign in (+1.0, -1.0):
-                flat[i] = orig + sign * epsilon
-                logits, _ = model.lm_forward(tokens, mode="train")
-                vals.append(task_loss(logits, targets)[0].item())
-            flat[i] = orig
-            numeric[i] = (vals[0] - vals[1]) / (2 * epsilon)
+    for i in range(flat.size):
+        orig = flat[i]
+        vals = []
+        for sign in (+1.0, -1.0):
+            flat[i] = orig + sign * epsilon
+            logits, _ = model.lm_forward(tokens, mode="train")
+            vals.append(task_loss(logits, targets)[0].item())
+        flat[i] = orig
+        numeric[i] = (vals[0] - vals[1]) / (2 * epsilon)
     numeric = numeric.reshape(param.data.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
