@@ -1,7 +1,8 @@
 """Command-line surface: train, eval, probe, flops.
 
 Exit codes: 0 success, 1 usage error (bad flags, out-of-range arguments,
-malformed config), 2 runtime failure (missing files, non-finite loss).
+malformed config), 2 runtime failure (missing files, a non-finite loss,
+gradient or eval value).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .diagnostics import (
 )
 from .routing import VARIANTS
 from .stochastic import RngStream, compute_batch_stats
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 from .train import TrainAbort, collapse_batch, evaluate_checkpoint, load_run, train
 
 USAGE_ERROR, RUNTIME_ERROR = 1, 2
@@ -160,7 +161,7 @@ def cli(argv: list[str]) -> int:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    except (ValueError, TrainAbort, OSError) as err:
+    except (ValueError, TrainAbort, NonFiniteError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -12,7 +12,8 @@ is used wherever gradients are verified against finite differences.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +43,17 @@ def set_nan_guard(enabled: bool) -> None:
     """Enable or disable the finite-output check after every primitive."""
     global _nan_guard
     _nan_guard = bool(enabled)
+
+
+@contextmanager
+def nan_guard(enabled: bool) -> Iterator[None]:
+    """Set the finite-output check for the block; the previous setting returns on exit."""
+    global _nan_guard
+    saved, _nan_guard = _nan_guard, bool(enabled)
+    try:
+        yield
+    finally:
+        _nan_guard = saved
 
 
 class _Record:

@@ -24,7 +24,7 @@ from .losses import PooledPair, balance_loss, task_loss, total_loss, uncertainty
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
-from .tensor import NonFiniteError, Tape, backward
+from .tensor import NonFiniteError, Tape, backward, nan_guard
 
 # stream ids under (seed << 8)
 _STREAM_BATCH = 3
@@ -33,7 +33,7 @@ _FORWARD_STRIDE = 1 << 20
 
 
 class TrainAbort(RuntimeError):
-    """Training stopped on a non-finite loss; prior checkpoints are retained."""
+    """Training stopped on a non-finite loss or gradient; prior checkpoints are retained."""
 
 
 @dataclass
@@ -141,6 +141,25 @@ class TrainResult:
     corpus: Corpus
 
 
+def _checked(work, faults):
+    """``work()`` with the per-op NaN guard off, checked once at the end.
+
+    ``faults(result)`` names what in the result is non-finite ("" when
+    nothing is). Every draw in ``work`` is a pure function of its inputs, so
+    on a fault it replays exactly with the guard on, and the first op to
+    produce a non-finite value raises ``NonFiniteError`` with its name and
+    tape position. When every op of the replay is finite, the error names
+    what ``faults`` finds in the replayed result (a gradient, say).
+    """
+    with nan_guard(False):
+        result = work()
+    if not faults(result):
+        return result
+    with nan_guard(True):
+        result = work()
+    raise NonFiniteError(faults(result) or "non-finite result; its replay under the NaN guard was finite")
+
+
 def _step_losses(model: LanguageModel, cfg: RunConfig, x, y, rng, k):
     logits, auxes = model.lm_forward(x, "train", rng=rng, k=k)
     nats, bpc, ppl = task_loss(logits, y)
@@ -159,6 +178,31 @@ def _step_losses(model: LanguageModel, cfg: RunConfig, x, y, rng, k):
         unc = unc * (1.0 / n_layers)
     total = total_loss(nats, bal, unc, cfg.alpha, cfg.beta)
     return logits, auxes, nats, bal, unc, total
+
+
+def _step(model: LanguageModel, cfg: RunConfig, x, y, k: int, step: int):
+    """One step's forward, backward and gradient clip; the forward's draws
+    start over from (seed, step), so a replay repeats them."""
+    rng = RngStream((cfg.seed << 8) + _STREAM_FORWARD, counter=step * _FORWARD_STRIDE)
+    with Tape():
+        _, auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)
+        model.zero_grad()
+        backward(total)
+    return auxes, nats, bal, unc, total, clip_global_norm(model.parameters(), cfg.grad_clip)
+
+
+def _step_faults(model: LanguageModel, result) -> str:
+    """The non-finite losses of a step, or else the parameters behind a
+    non-finite gradient norm; "" for a finite step."""
+    _, nats, bal, unc, total, norm = result
+    losses = {"task": nats, "balance": bal, "uncertainty": unc, "total": total}
+    bad = [name for name, t in losses.items() if t is not None and not math.isfinite(t.item())]
+    if bad:
+        return "non-finite loss: " + ", ".join(bad)
+    if math.isfinite(norm):
+        return ""
+    grads = [name for name, p in model.parameters() if p.grad is not None and not np.isfinite(p.grad).all()]
+    return f"non-finite gradient in {', '.join(grads)}" if grads else f"gradient norm {norm}"
 
 
 def _save_state(path: str, cfg: RunConfig, model: LanguageModel, adam: Adam, step: int) -> None:
@@ -194,10 +238,19 @@ _RESUME_MAY_CHANGE = ("out_dir", "steps", "eval_interval", "ckpt_interval")
 
 
 def _check_resume_config(cfg: RunConfig, echoed: RunConfig) -> None:
-    """Refuse to resume under a config that differs from the checkpoint's echo."""
-    diffs = [f"{f.name}: checkpoint {getattr(echoed, f.name)!r}, run {getattr(cfg, f.name)!r}"
+    """Refuse to resume under a config that differs from the checkpoint's echo.
+
+    A stablemoe run's ``stage_boundary`` is compared as resolved, because -1
+    means ``steps // 2`` and ``steps`` may change.
+    """
+    def value(c: RunConfig, name: str):
+        if name == "stage_boundary" and c.variant == "stablemoe":
+            return c.model_config().stage_boundary
+        return getattr(c, name)
+
+    diffs = [f"{f.name}: checkpoint {value(echoed, f.name)!r}, run {value(cfg, f.name)!r}"
              for f in dataclasses.fields(RunConfig)
-             if f.name not in _RESUME_MAY_CHANGE and getattr(cfg, f.name) != getattr(echoed, f.name)]
+             if f.name not in _RESUME_MAY_CHANGE and value(cfg, f.name) != value(echoed, f.name)]
     if diffs:
         raise ValueError("resume config differs from the checkpoint's: " + "; ".join(diffs))
 
@@ -262,21 +315,14 @@ def train(cfg: RunConfig, resume_from: str | None = None,
 
             idx = RngStream(base + _STREAM_BATCH, counter=step).integers(pairs, cfg.batch_size)
             x, y = make_batch(corpus.train, cfg.seq_len, idx)
-            rng = RngStream(base + _STREAM_FORWARD, counter=step * _FORWARD_STRIDE)
 
+            # a step with a non-finite loss or gradient stops here, before Adam and any checkpoint
             try:
-                with Tape():
-                    logits, auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)
-                    total_value = total.item()
-                    if not math.isfinite(total_value):
-                        raise TrainAbort(f"non-finite loss at step {step}; last checkpoint: {last_ckpt or 'none'}")
-                    model.zero_grad()
-                    backward(total)
+                auxes, nats, bal, unc, total, _ = _checked(lambda: _step(model, cfg, x, y, k, step),
+                                                           lambda result: _step_faults(model, result))
             except NonFiniteError as err:
                 raise TrainAbort(f"non-finite value at step {step} ({err}); "
                                  f"last checkpoint: {last_ckpt or 'none'}") from err
-
-            clip_global_norm(model.parameters(), cfg.grad_clip)
             adam.step(step + 1)
 
             if step % cfg.eval_interval == 0 or step == cfg.steps - 1:
@@ -285,7 +331,7 @@ def train(cfg: RunConfig, resume_from: str | None = None,
                 row = MetricsRow(
                     step=step, task_nats=nats_value, bpc=nats_value / math.log(2),
                     balance=bal.item(), uncertainty=unc.item() if unc is not None else 0.0,
-                    total=total_value, router_entropy=entropy, expert_load_gini=gini(load),
+                    total=total.item(), router_entropy=entropy, expert_load_gini=gini(load),
                     k=k, wall_ms=(time.monotonic() - t0) * 1000.0,
                 )
                 rows.append(row)
@@ -335,17 +381,23 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     for start in range(0, pairs, cfg.batch_size):
         idx = range(start, min(start + cfg.batch_size, pairs))
         x, y = make_batch(tokens, cfg.seq_len, idx)
-        logits, _ = model.lm_forward(x, "eval")
-        nats, _, _ = task_loss(logits, y)
-        total_nats += nats.item() * x.size
+        nats = _checked(lambda: task_loss(model.lm_forward(x, "eval")[0], y)[0].item(),
+                        lambda value: "" if math.isfinite(value) else f"non-finite nats at {split} window {start}")
+        total_nats += nats * x.size
         count += x.size
     mean_nats = total_nats / count
 
     collapse = None
     if with_collapse:
-        collapse = collapse_metrics(model, collapse_batch(tokens, cfg.seq_len, split))
+        batch = collapse_batch(tokens, cfg.seq_len, split)
+        collapse = _checked(lambda: collapse_metrics(model, batch), _collapse_faults)
     return EvalResult(bpc=mean_nats / math.log(2), ppl=math.exp(mean_nats),
                       nats=mean_nats, n_tokens=count, k=k, collapse=collapse)
+
+
+def _collapse_faults(report: CollapseReport) -> str:
+    bad = [f.name for f in dataclasses.fields(report) if not np.isfinite(getattr(report, f.name)).all()]
+    return f"non-finite collapse report: {', '.join(bad)}" if bad else ""
 
 
 def collapse_batch(tokens: np.ndarray, seq_len: int, split: str) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 import re
 
+import numpy as np
 import pytest
 
+from s2moe.checkpoint import load_checkpoint, save_checkpoint
 from s2moe.cli import cli
 from s2moe.model import ModelConfig
 from s2moe.routing import VARIANTS
@@ -70,6 +72,17 @@ class TestTrainEval:
         assert cli(["eval", "--ckpt", ckpt, "--k", "17", "--split", "val"]) == 1
         assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "train"]) == 1
         assert cli(["eval", "--ckpt", "/nonexistent.bin", "--k", "2", "--split", "val"]) == 2
+
+    def test_eval_of_nonfinite_checkpoint_names_the_op(self, tiny_config_file, capsys):
+        path, cfg = tiny_config_file("rnan", steps=3)
+        assert cli(["train", "--config", path]) == 0
+        ckpt = cfg.out_dir + "/ckpt-final.bin"
+        ck = load_checkpoint(ckpt)
+        dict(ck.tensors)["lnf.b"][:] = np.nan
+        save_checkpoint(ckpt, ck)
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 2
+        assert "error: op 'add' produced non-finite values" in capsys.readouterr().err
 
     def test_probe_prints_reports(self, tiny_config_file, capsys):
         path, cfg = tiny_config_file("rprobe", steps=3)

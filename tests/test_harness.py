@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from s2moe.checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
 from s2moe.config import load_config, parse_config_text, preset
 from s2moe.data import ingest_corpus
+from s2moe.tensor import NonFiniteError, set_nan_guard
 from s2moe.train import (
     TrainAbort,
     build_model,
@@ -256,6 +258,18 @@ class TestTraining:
         assert f"{name}: checkpoint {getattr(cfg, name)!r}, run {value!r}" in str(err.value)
         assert not os.path.exists(changed.out_dir)
 
+    def test_resume_refuses_moved_stablemoe_boundary(self, small_corpus, tmp_path):
+        # stage_boundary = -1 resolves to steps // 2: 3 for the checkpointed run
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", variant="stablemoe", steps=6)
+        train(cfg)
+        ckpt = os.path.join(cfg.out_dir, "ckpt-0000003.bin")
+        longer = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"), steps=10)
+        with pytest.raises(ValueError, match=r"stage_boundary: checkpoint 3, run 5"):
+            train(longer, resume_from=ckpt)
+        assert not os.path.exists(longer.out_dir)
+        # a steps change that keeps the resolved boundary may resume
+        train(dataclasses.replace(longer, steps=7), resume_from=ckpt)
+
     def test_stablemoe_restored_frozen_past_boundary(self, small_corpus, tmp_path, monkeypatch):
         cfg = tiny_run_config(small_corpus, tmp_path / "sm", variant="stablemoe",
                               steps=6, stage_boundary=2, ckpt_interval=4)
@@ -357,9 +371,51 @@ class TestTraining:
         def bomb(model):
             model.lnf_b.data[:] = np.nan  # first op touching it trips the guard
 
-        with pytest.raises(TrainAbort):
+        with pytest.raises(TrainAbort) as err:
             train(cfg4, resume_from=survivor, model_hook=bomb)
+        # the step runs unguarded; its replay under the guard names the op
+        assert re.fullmatch(r"non-finite value at step 2 \(op 'add' produced non-finite values "
+                            rf"\(tape position \d+\)\); last checkpoint: {re.escape(survivor)}",
+                            str(err.value))
         assert os.path.exists(survivor)
+
+    def test_nonfinite_gradient_stops_the_step_before_adam(self, small_corpus, tmp_path, monkeypatch):
+        cfg = tiny_run_config(small_corpus, tmp_path / "grad", steps=4, ckpt_interval=1)
+        models, calls = [], []
+        backward = train_module.backward
+
+        def poisoned(loss):  # from the third call on: step 2 and its replay
+            backward(loss)
+            calls.append(loss)
+            if len(calls) >= 3:
+                models[0].lnf_g.grad[0] = np.nan
+
+        monkeypatch.setattr(train_module, "backward", poisoned)
+        with pytest.raises(TrainAbort) as err:
+            train(cfg, model_hook=models.append)
+        last = os.path.join(cfg.out_dir, "ckpt-0000002.bin")
+        assert str(err.value) == f"non-finite value at step 2 (non-finite gradient in lnf.g); last checkpoint: {last}"
+        written = sorted(n for n in os.listdir(cfg.out_dir) if n.endswith(".bin"))
+        assert written == ["ckpt-0000001.bin", "ckpt-0000002.bin"]
+        for name in written:
+            for tensor_name, arr in load_checkpoint(os.path.join(cfg.out_dir, name)).tensors:
+                assert np.isfinite(arr).all(), (name, tensor_name)
+
+    def test_clean_run_unchanged_with_nan_guard_off(self, small_corpus, tmp_path):
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=4, ckpt_interval=2)
+        train(cfg)
+        guarded = {n: open(os.path.join(cfg.out_dir, n), "rb").read() for n in os.listdir(cfg.out_dir)}
+        metrics = str(tmp_path / "guarded.csv")
+        with open(metrics, "wb") as fh:
+            fh.write(guarded.pop("metrics.csv"))
+        set_nan_guard(False)
+        try:
+            train(cfg)
+        finally:
+            set_nan_guard(True)
+        assert metrics_equal(metrics, os.path.join(cfg.out_dir, "metrics.csv"))
+        for name, data in guarded.items():
+            assert open(os.path.join(cfg.out_dir, name), "rb").read() == data, name
 
 
 class TestEvaluate:
@@ -369,6 +425,27 @@ class TestEvaluate:
         model = build_model(cfg, corpus)
         result = evaluate_model(model, corpus, cfg, k=2, split="val", with_collapse=False)
         assert abs(result.bpc - math.log2(corpus.vocab_size)) < 0.05
+
+    def test_nonfinite_parameter_named_by_eval_replay(self, small_corpus, tmp_path):
+        cfg = tiny_run_config(small_corpus, tmp_path / "ev")
+        corpus = ingest_corpus(cfg.corpus, cfg.splits)
+        model = build_model(cfg, corpus)
+        model.lnf_b.data[:] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^op 'add' produced non-finite values$"):
+            evaluate_model(model, corpus, cfg, k=2, split="val")
+
+    def test_nonfinite_collapse_report_named_by_replay(self, small_corpus, tmp_path):
+        cfg = tiny_run_config(small_corpus, tmp_path / "ev")
+        corpus = ingest_corpus(cfg.corpus, cfg.splits)
+        model = build_model(cfg, corpus)
+        layer = model.blocks[0].moe
+        # equal router scores tie toward expert 0, so at k=1 the eval batches never
+        # run expert 3; only the collapse report, which runs every expert, meets it
+        layer.router.w_e.data[:] = 0.0
+        layer.experts.w1[3].data[:] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^op 'matmul' produced non-finite values$"):
+            evaluate_model(model, corpus, cfg, k=1, split="val")
+        assert math.isfinite(evaluate_model(model, corpus, cfg, k=1, split="val", with_collapse=False).bpc)
 
     def test_evaluate_twice_identical(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "ev2", steps=3)
