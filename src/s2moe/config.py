@@ -1,12 +1,14 @@
 """Run configuration: presets, flat key=value config files, serialization.
 
-The config file format is one ``key = value`` per line; ``#`` starts a
-comment. Unknown keys are rejected. The same text format is echoed into
+The config file format is one ``key = value`` per line; ``#`` outside quotes
+starts a comment. A quoted value is read as a Python string literal, so the
+echo of any string round-trips. Unknown keys are rejected. The same text format is echoed into
 checkpoints so a run can be reconstructed from its artifact alone.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 from dataclasses import dataclass
 
@@ -76,9 +78,33 @@ def _coerce_value(name: str, raw: str):
         return int(raw)
     if f.type in ("float", float):
         return float(raw)
-    if raw.startswith(("'", '"')) and raw.endswith(("'", '"')) and len(raw) >= 2:
-        return raw[1:-1]
+    if raw.startswith(("'", '"')):
+        try:
+            value = ast.literal_eval(raw)
+        except (SyntaxError, ValueError):
+            value = None
+        if not isinstance(value, str):
+            raise ValueError(f"config key '{name}': {raw} is not one quoted string")
+        return value
     return raw
+
+
+def _uncomment(line: str) -> str:
+    """``line`` up to its first ``#`` outside a quoted string."""
+    quote, escaped = None, False
+    for i, ch in enumerate(line):
+        if quote is None:
+            if ch == "#":
+                return line[:i]
+            if ch in "'\"":
+                quote = ch
+        elif escaped:
+            escaped = False
+        elif ch == "\\":
+            escaped = True
+        elif ch == quote:
+            quote = None
+    return line
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -89,7 +115,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """
     pairs: list[tuple[int, str, str]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _uncomment(line).strip()
         if not line:
             continue
         if "=" not in line:

@@ -116,10 +116,9 @@ class DecoderBlock:
             self.moe = S2MoeLayer(cfg.d_model, cfg.n_experts, cfg.d_exp, rng_experts,
                                   dtype=dtype, rng_router=rng_router, rng_blend=rng_blend)
         else:
-            boundary = cfg.stage_boundary if cfg.variant == "stablemoe" else None
             self.moe = SmoeLayer(cfg.d_model, cfg.n_experts, cfg.d_exp, rng_experts,
                                  variant=cfg.variant, dtype=dtype, d_low=cfg.d_low,
-                                 stage_boundary=boundary,
+                                 stage_boundary=cfg.stage_boundary,
                                  frozen_seed=base + 144 + layer_idx,
                                  rng_router=rng_router)
         self.dropout = cfg.dropout

@@ -43,15 +43,10 @@ class SmoeLayer:
                  variant: str = "smoe", dtype=np.float32, d_low: int = 8,
                  stage_boundary: int | None = None, frozen_seed: int | None = None,
                  rng_router: RngStream | None = None):
-        self.d_model = d_model
         self.router: RouterParams = make_router(
             n_experts, d_model, variant, rng_router if rng_router is not None else rng,
             dtype=dtype, d_low=d_low, stage_boundary=stage_boundary, frozen_seed=frozen_seed)
         self.experts = ExpertBank(n_experts, d_model, d_expert, rng, dtype=dtype)
-
-    @property
-    def n_experts(self) -> int:
-        return self.experts.n_experts
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = [(f"router.{n}", t) for n, t in self.router.parameters()]
@@ -63,41 +58,25 @@ class SmoeLayer:
         return moe_combine(x, decision, self.experts), MoeAux(decision=decision, moe_input=x.data)
 
 
-class S2MoeLayer:
-    """Two-path MoE layer learning from clean and noise-augmented inputs."""
+class S2MoeLayer(SmoeLayer):
+    """Two-path MoE layer learning from clean and noise-augmented inputs: the
+    sparse layer's router and experts plus a learned blend gate."""
 
     def __init__(self, d_model: int, n_experts: int, d_expert: int, rng: RngStream,
                  dtype=np.float32, noise_enabled: bool = True,
                  rng_router: RngStream | None = None, rng_blend: RngStream | None = None):
-        self.inner = SmoeLayer(d_model, n_experts, d_expert, rng, variant="smoe",
-                               dtype=dtype, rng_router=rng_router)
+        super().__init__(d_model, n_experts, d_expert, rng, dtype=dtype, rng_router=rng_router)
         self.blend = make_blend_gate(d_model, rng_blend if rng_blend is not None else rng, dtype=dtype)
         self.noise_enabled = noise_enabled
 
-    @property
-    def d_model(self) -> int:
-        return self.inner.d_model
-
-    @property
-    def n_experts(self) -> int:
-        return self.inner.n_experts
-
-    @property
-    def router(self) -> RouterParams:
-        return self.inner.router
-
-    @property
-    def experts(self) -> ExpertBank:
-        return self.inner.experts
-
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return self.inner.parameters() + self.blend.parameters()
+        return super().parameters() + self.blend.parameters()
 
     def forward(self, x: Tensor, k: int, train: bool = True,
                 rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
         """Train: g(x) * f(x) + (1 - g(x)) * f(x_hat). Eval: exactly f(x)."""
         if not train:
-            return self.inner.forward(x, k, train=False)
+            return super().forward(x, k, train=False)
         if self.noise_enabled:
             if rng is None:
                 raise ValueError("train-mode stochastic forward needs an RngStream")
@@ -105,9 +84,9 @@ class S2MoeLayer:
             x_hat = perturb(x, stats, rng)
         else:
             x_hat = x
-        y_clean, aux = self.inner.forward(x, k, train=True)
-        decision_noisy = route(x_hat, self.inner.router, k)
-        y_noisy = moe_combine(x_hat, decision_noisy, self.inner.experts)
+        y_clean, aux = super().forward(x, k, train=True)
+        decision_noisy = route(x_hat, self.router, k)
+        y_noisy = moe_combine(x_hat, decision_noisy, self.experts)
         y = self.mix(x, y_clean, y_noisy)
         aux.decision_noisy = decision_noisy
         aux.pooled_clean = mean(x, axis=1)

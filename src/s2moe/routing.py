@@ -4,7 +4,9 @@ Scores are ``x @ W_e^T`` softmaxed over the expert axis; the top-k entries
 keep their probabilities as combination weights and everything else is masked
 to exact zero (no renormalization of the kept mass). Variants: a frozen
 randomly initialized router with a growing-k schedule, low-dimensional cosine
-scores, and a two-stage mode that snapshots and freezes the router mid-run.
+scores, and a two-stage mode that freezes the router mid-run. A router is
+frozen when ``w_e.requires_grad`` is False: backward then gives it no gradient
+and Adam skips it.
 """
 
 from __future__ import annotations
@@ -22,16 +24,12 @@ class RouterParams:
 
     w_e: Tensor                      # (N, d) expert embeddings
     variant: str = "smoe"            # smoe | smoe-dropout | xmoe | stablemoe
-    frozen: bool = False
     # xmoe extras
     w_down: Tensor | None = None     # (d_low, d) down-projection
     emb_low: Tensor | None = None    # (N, d_low) low-dimensional embeddings
     tau_r: Tensor | None = None      # learnable temperature, > 0
-    # stablemoe extras
+    # stablemoe: the first step with a frozen router
     stage_boundary: int | None = None
-    snapshot: np.ndarray | None = None
-    snapshot_step: int | None = None
-    snapshot_events: int = 0
 
     @property
     def n_experts(self) -> int:
@@ -72,7 +70,7 @@ def make_router(n_experts: int, d_model: int, variant: str, rng, dtype=np.float3
         from .stochastic import RngStream
         stream = RngStream(frozen_seed if frozen_seed is not None else 0)
         w = stream.normal((n_experts, d_model), scale=scale).astype(dtype)
-        return RouterParams(w_e=Tensor(w, requires_grad=False), variant=variant, frozen=True)
+        return RouterParams(w_e=Tensor(w, requires_grad=False), variant=variant)
     w = Tensor(rng.normal((n_experts, d_model), scale=scale).astype(dtype), requires_grad=True)
     params = RouterParams(w_e=w, variant=variant)
     if variant == "xmoe":
@@ -121,7 +119,8 @@ def _routing_scores(x: Tensor, params: RouterParams) -> Tensor:
 def route(x: Tensor, params: RouterParams, k: int) -> RouterDecision:
     """Route a (B, T, d) batch: softmax scores, then top-k gate masking.
 
-    Gradient flows into the router parameters unless the frozen flag is set.
+    Under a tape, gradient flows into every router parameter whose
+    ``requires_grad`` is set.
     """
     n = params.n_experts
     if not 1 <= k <= n:
@@ -146,13 +145,8 @@ def dropout_schedule_k(step: int, total_steps: int, n_experts: int) -> int:
 
 
 def stablemoe_update(params: RouterParams, step: int) -> None:
-    """Apply the two-stage policy at ``step``: stage 1 trains the router; from
-    ``stage_boundary`` on, a snapshot of it is taken exactly once and frozen."""
-    if params.variant != "stablemoe" or params.stage_boundary is None:
-        return
-    if step >= params.stage_boundary and params.snapshot is None:
-        params.snapshot = params.w_e.data.copy()
-        params.snapshot_step = step
-        params.snapshot_events += 1
-        params.frozen = True
-        params.w_e.requires_grad = False
+    """Set the two-stage policy for ``step``: the stablemoe router trains
+    before ``stage_boundary`` and is frozen from it on. Other variants are
+    left as built."""
+    if params.stage_boundary is not None:
+        params.w_e.requires_grad = step < params.stage_boundary

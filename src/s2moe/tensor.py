@@ -157,7 +157,6 @@ class Tensor:
     def __truediv__(self, other): return div(self, _coerce(other, self.dtype))
     def __rtruediv__(self, other): return div(_coerce(other, self.dtype), self)
     def __matmul__(self, other): return matmul(self, other)
-    def __neg__(self): return neg(self)
     def __pow__(self, p): return power(self, p)
 
 
@@ -293,10 +292,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _finish("div", out, (a, b), bw)
 
 
-def neg(a: Tensor) -> Tensor:
-    return _finish("neg", -a.data, (a,), lambda g: [-g])
-
-
 def power(a: Tensor, p: float) -> Tensor:
     p = float(p)
     out = a.data ** p
@@ -329,25 +324,6 @@ def sigmoid(a: Tensor) -> Tensor:
         return [g * out * (1.0 - out)]
 
     return _finish("sigmoid", out, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-    a_data = a.data
-
-    def bw(g):
-        return [g / a_data]
-
-    return _finish("log", out, (a,), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bw(g):
-        return [g * out]
-
-    return _finish("exp", out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,6 @@ def build_model(cfg: RunConfig, corpus: Corpus) -> LanguageModel:
     return LanguageModel(cfg.model_config())
 
 
-def _restore(model: LanguageModel, ck: Checkpoint) -> None:
-    """Copy checkpoint weights in; stablemoe routers past their boundary re-freeze there."""
-    apply_tensors(model.parameters(), ck)
-    for blk in model.blocks:
-        boundary = blk.moe.router.stage_boundary
-        if boundary is not None:
-            stablemoe_update(blk.moe.router, min(ck.step, boundary))
-
-
 # fields a resume may change: where the run writes, how far it goes, how often it reports
 _RESUME_MAY_CHANGE = ("out_dir", "steps", "eval_interval", "ckpt_interval")
 
@@ -261,7 +252,7 @@ def load_run(ckpt_path: str) -> tuple[RunConfig, Corpus, LanguageModel]:
     cfg = parse_config_text(ck.config_text)
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
     model = build_model(cfg, corpus)
-    _restore(model, ck)
+    apply_tensors(model.parameters(), ck)
     return cfg, corpus, model
 
 
@@ -280,7 +271,10 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     if resume_from is not None:
         ck = load_checkpoint(resume_from)
         _check_resume_config(cfg, parse_config_text(ck.config_text))
-        _restore(model, ck)
+        if ck.step > cfg.steps:
+            raise ValueError(f"checkpoint '{resume_from}' is at step {ck.step}, "
+                             f"past the run's steps = {cfg.steps}")
+        apply_tensors(model.parameters(), ck)
         adam.load_state(ck.tensor_dict())
         start_step = ck.step
     if model_hook is not None:

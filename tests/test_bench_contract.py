@@ -5,6 +5,8 @@ and a traced training run still counts tape records."""
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import tiny_run_config
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -29,3 +31,23 @@ def test_traced_train_counts_tape_records(small_corpus, tmp_path):
     assert restored
     assert recorder.totals()["tensor.backward"]["calls"] == 2
     assert recorder.counts["tensor.tape_records"] > 0
+
+
+@pytest.mark.parametrize("variant", ["s2moe", "smoe"])
+def test_traced_train_records_moe_spans(small_corpus, tmp_path, variant):
+    """The two-path layer's clean path runs through the bound
+    ``SmoeLayer.forward``, so it is timed inside ``moe.s2moe_forward``."""
+    cfg = tiny_run_config(small_corpus, tmp_path, steps=2, variant=variant)
+    recorder, bindings = spans.SpanRecorder(), spans.Bindings()
+    workload.install_tracer(recorder, bindings)
+    try:
+        workload.train_mod.train(cfg)
+    finally:
+        bindings.restore()
+    totals = recorder.totals()
+    assert totals["moe.smoe_forward"]["calls"] == 2
+    if variant == "s2moe":
+        assert totals["moe.s2moe_forward"]["calls"] == 2
+        assert totals["moe.s2moe_forward"]["children"]["moe.smoe_forward"] == 2
+    else:
+        assert "moe.s2moe_forward" not in totals

@@ -12,6 +12,7 @@ import pytest
 from s2moe.checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
 from s2moe.config import load_config, parse_config_text, preset
 from s2moe.data import ingest_corpus
+from s2moe.routing import VARIANTS
 from s2moe.tensor import NonFiniteError, set_nan_guard
 from s2moe.train import (
     TrainAbort,
@@ -19,6 +20,7 @@ from s2moe.train import (
     collapse_batch,
     evaluate_checkpoint,
     evaluate_model,
+    load_run,
     metrics_equal,
     parse_metrics,
     train,
@@ -28,6 +30,25 @@ from conftest import tiny_run_config
 
 # ``s2moe.train`` is shadowed by the re-exported function of the same name
 train_module = importlib.import_module("s2moe.train")
+
+
+def _trace_router_requires_grad(monkeypatch):
+    """Each training step's ``requires_grad`` of the first layer's router
+    ``w_e``, read at the step's backward; pass the hook as ``model_hook``."""
+    seen, models, real = [], [], train_module.backward
+
+    def backward(loss):
+        seen.append(models[0].blocks[0].moe.router.w_e.requires_grad)
+        real(loss)
+
+    monkeypatch.setattr(train_module, "backward", backward)
+    return seen, models.append
+
+
+def _router_bytes(out_dir, steps) -> list[bytes]:
+    """The first layer's router ``w_e`` in the run's checkpoints at ``steps``."""
+    paths = [os.path.join(out_dir, f"ckpt-{s:07d}.bin") for s in steps]
+    return [load_checkpoint(p).tensor_dict()["layer0.moe.router.w_e"].tobytes() for p in paths]
 
 
 class TestIngest:
@@ -105,6 +126,21 @@ class TestConfig:
         cfg.variant = "xmoe"
         cfg.corpus = "/tmp/some corpus.txt"
         assert parse_config_text(cfg.to_text()) == cfg
+
+    @pytest.mark.parametrize("path", ["/data/run#1/corpus.txt", "C:\\data\\corpus.txt",
+                                      "/data/it's/corpus.txt", "/d/it's \"#2\"\\"],
+                             ids=["hash", "backslash", "quote", "all"])
+    def test_echo_round_trips_any_string(self, path):
+        cfg = dataclasses.replace(preset("desk"), corpus=path, out_dir=path + ".out")
+        assert parse_config_text(cfg.to_text()) == cfg
+
+    def test_hash_is_a_comment_only_outside_quotes(self):
+        cfg = parse_config_text("corpus = 'a#b'  # where\nout_dir = \"c#'d\"#\nvariant = xmoe # bare\n")
+        assert (cfg.corpus, cfg.out_dir, cfg.variant) == ("a#b", "c#'d", "xmoe")
+
+    def test_unterminated_quote_rejected(self):
+        with pytest.raises(ValueError, match="corpus"):
+            parse_config_text("corpus = 'a#b\n")
 
 
 class TestCheckpoint:
@@ -211,14 +247,15 @@ class TestTraining:
         assert rows[0].step == 0 and rows[-1].step == cfg.steps - 1
         assert all(math.isfinite(r.total) for r in rows)
 
-    def test_resume_matches_uninterrupted_at_f64(self, small_corpus, tmp_path):
-        full_cfg = tiny_run_config(small_corpus, tmp_path / "full", steps=8,
-                                   ckpt_interval=4, precision="f64", seed=3)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_resume_matches_uninterrupted_at_f64(self, small_corpus, tmp_path, variant):
+        # a stablemoe router freezes at step 2, before the checkpoint it resumes from
+        common = dict(steps=8, ckpt_interval=4, precision="f64", seed=3, variant=variant, stage_boundary=2)
+        full_cfg = tiny_run_config(small_corpus, tmp_path / "full", **common)
         full = train(full_cfg)
 
         # resume the mid-run checkpoint into a fresh directory
-        part_cfg = tiny_run_config(small_corpus, tmp_path / "part", steps=8,
-                                   ckpt_interval=4, precision="f64", seed=3)
+        part_cfg = tiny_run_config(small_corpus, tmp_path / "part", **common)
         resumed = train(part_cfg,
                         resume_from=os.path.join(full_cfg.out_dir, "ckpt-0000004.bin"))
 
@@ -272,23 +309,30 @@ class TestTraining:
 
     def test_stablemoe_restored_frozen_past_boundary(self, small_corpus, tmp_path, monkeypatch):
         cfg = tiny_run_config(small_corpus, tmp_path / "sm", variant="stablemoe",
-                              steps=6, stage_boundary=2, ckpt_interval=4)
+                              steps=6, stage_boundary=2, ckpt_interval=1)
         train(cfg)
-        ckpt = os.path.join(cfg.out_dir, "ckpt-0000004.bin")
+        resumed_cfg = dataclasses.replace(cfg, out_dir=str(tmp_path / "sm-resumed"))
+        trains, hook = _trace_router_requires_grad(monkeypatch)
+        train(resumed_cfg, resume_from=os.path.join(cfg.out_dir, "ckpt-0000004.bin"), model_hook=hook)
+        assert trains == [False, False]
+        assert len(set(_router_bytes(resumed_cfg.out_dir, [5, 6]) + _router_bytes(cfg.out_dir, [2, 4]))) == 1
 
-        models = {}
-        train(dataclasses.replace(cfg, out_dir=str(tmp_path / "sm-resumed")), resume_from=ckpt,
-              model_hook=lambda m: models.setdefault("train", m))
-        build = train_module.build_model
-        monkeypatch.setattr(train_module, "build_model",
-                            lambda *a, **kw: models.setdefault("eval", build(*a, **kw)))
-        evaluate_checkpoint(ckpt, k=2, split="val", with_collapse=False)
+    def test_resume_refuses_checkpoint_past_steps(self, small_corpus, tmp_path):
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=6)
+        train(cfg)
+        shorter = dataclasses.replace(cfg, out_dir=str(tmp_path / "resumed"), steps=4)
+        with pytest.raises(ValueError, match=r"at step 6, past the run's steps = 4"):
+            train(shorter, resume_from=os.path.join(cfg.out_dir, "ckpt-0000006.bin"))
+        assert not os.path.exists(shorter.out_dir)
 
-        for how, model in models.items():
-            router = model.blocks[0].moe.router
-            assert router.snapshot_events == 1, how
-            assert router.snapshot_step == 2, how
-            assert router.w_e.requires_grad is False, how
+    def test_load_run_reads_back_a_corpus_path_with_hash(self, small_corpus, tmp_path):
+        corpus = tmp_path / "run#1" / "corpus.txt"
+        corpus.parent.mkdir()
+        corpus.write_bytes(open(small_corpus, "rb").read())
+        cfg = tiny_run_config(str(corpus), tmp_path / "out#2", steps=1)
+        result = train(cfg)
+        loaded, _, _ = load_run(result.final_checkpoint)
+        assert loaded == cfg
 
     def test_checkpoint_roundtrip_through_training(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "rt")
@@ -337,15 +381,15 @@ class TestTraining:
         assert ks[0] == 1 and ks[-1] <= cfg.n_experts
         assert all(a <= b for a, b in zip(ks, ks[1:]))
 
-    def test_stablemoe_freezes_at_boundary(self, small_corpus, tmp_path):
+    def test_stablemoe_freezes_at_boundary(self, small_corpus, tmp_path, monkeypatch):
         cfg = tiny_run_config(small_corpus, tmp_path / "stable", variant="stablemoe",
-                              steps=6, stage_boundary=3)
-        captured = {}
-        train(cfg, model_hook=lambda m: captured.setdefault("model", m))
-        router = captured["model"].blocks[0].moe.router
-        assert router.snapshot_events == 1 and router.snapshot_step == 3
-        assert router.frozen
-        assert router.w_e.data.tobytes() == router.snapshot.tobytes()
+                              steps=6, stage_boundary=3, ckpt_interval=1)
+        trains, hook = _trace_router_requires_grad(monkeypatch)
+        train(cfg, model_hook=hook)
+        assert trains == [True, True, True, False, False, False]
+        # ckpt-N holds the weights after step N - 1: the router moves through step 2 only
+        w_e = _router_bytes(cfg.out_dir, range(1, 7))
+        assert len(set(w_e[:3])) == 3 and set(w_e[2:]) == {w_e[2]}
 
     def test_variant_flag_only_changes_stochastic_activity(self, small_corpus, tmp_path):
         counts = {}

@@ -17,6 +17,7 @@ from s2moe.routing import (
 )
 from s2moe.stochastic import RngStream
 from s2moe.tensor import Tape, Tensor, backward, tsum
+from s2moe.train import Adam
 
 F64 = np.float64
 
@@ -72,7 +73,7 @@ class TestRoute:
 
     def test_frozen_router_gets_no_gradient(self):
         params = smoe_router(4, 3, variant="smoe-dropout", frozen_seed=9)
-        assert params.frozen
+        assert params.w_e.requires_grad is False
         with Tape():
             x = Tensor(np.random.default_rng(2).standard_normal((1, 2, 3)), dtype=F64, requires_grad=True)
             dec = route(x, params, k=2)
@@ -131,16 +132,27 @@ class TestSchedules:
         with pytest.raises(ValueError):
             dropout_schedule_k(0, 0, 4)
 
-    def test_stablemoe_snapshot_taken_exactly_once(self):
-        params = smoe_router(4, 3, variant="stablemoe", stage_boundary=40)
-        before = params.w_e.data.copy()
-        for step in range(100):
+    def test_stablemoe_router_trains_until_boundary_only(self):
+        params = smoe_router(4, 3, variant="stablemoe", stage_boundary=4)
+        adam = Adam(params.parameters(), lr=0.1)
+        rng = np.random.default_rng(4)
+        for step in range(8):
             stablemoe_update(params, step)
-            if step >= 40:
-                assert params.frozen
-        assert params.snapshot_events == 1
-        assert params.snapshot_step == 40
-        np.testing.assert_array_equal(params.snapshot, before)
+            assert params.w_e.requires_grad is (step < 4)
+            before = params.w_e.data.tobytes()
+            with Tape():
+                x = Tensor(rng.standard_normal((1, 5, 3)), dtype=F64, requires_grad=True)
+                params.w_e.zero_grad()
+                backward(tsum(route(x, params, k=2).gates * Tensor(rng.standard_normal((1, 5, 4)))))
+            adam.step(step + 1)
+            assert (params.w_e.data.tobytes() != before) is (step < 4), step
+
+    def test_stablemoe_update_leaves_other_variants_as_built(self):
+        for variant, trains in (("smoe", True), ("smoe-dropout", False), ("xmoe", True)):
+            params = smoe_router(4, 6, variant=variant, d_low=2, frozen_seed=1, stage_boundary=2)
+            for step in range(4):
+                stablemoe_update(params, step)
+                assert params.w_e.requires_grad is trains, variant
 
 
 class TestXmoe:

@@ -223,7 +223,7 @@ def test_reduction_property_forward_and_gradients():
             x = Tensor(x_data, dtype=F64, requires_grad=True)
             y2, _ = s2.forward(x, k=2, train=True, rng=RngStream(0))
             backward(tsum(y2 * y2))
-        g2 = {n: (t.grad.copy() if t.grad is not None else None) for n, t in s2.inner.parameters()}
+        g2 = {n: (t.grad.copy() if t.grad is not None else None) for n, t in s2.parameters()}
         for _, t in s2.parameters():
             t.zero_grad()
 

@@ -32,7 +32,6 @@ from s2moe.tensor import (
     tsum,
     transpose,
 )
-from s2moe.tensor import exp as texp, log as tlog
 
 F64 = np.float64
 
@@ -196,7 +195,7 @@ def test_primitive_gradients_match_finite_differences(seed):
         "sigmoid": lambda x: tsum(sigmoid(x)),
         "softmax": lambda x: tsum(mul(softmax(x, axis=-1), c1)),
         "layer-norm": lambda x: tsum(mul(layernorm(x), c2)),
-        "log/exp/pow": lambda x: tsum(tlog(texp(x) + 1.0)) + tsum(power(x * x + 1.0, 0.5)),
+        "pow": lambda x: tsum(power(x * x + 1.0, 0.5)),
         "mean": lambda x: mean(x) + tsum(mean(mul(x, x), axis=-1)),
         "reshape/transpose": lambda x: tsum(mul(transpose(reshape(x, (d, 3)), (1, 0)), c3)),
         # repeated rows accumulate; 2-D ids as in the token embedding; distinct
