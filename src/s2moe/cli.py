@@ -69,7 +69,10 @@ def _build_parser() -> _Parser:
 def _config_from_args(args) -> RunConfig:
     cfg = preset(args.preset) if getattr(args, "preset", None) else None
     if getattr(args, "config", None):
-        cfg = load_config(args.config, base=cfg)
+        try:
+            cfg = load_config(args.config, base=cfg)
+        except ValueError as err:
+            raise _UsageError(f"{args.config}: {err}") from None
     if cfg is None:
         cfg = preset("paper-base")
     for flag, field in (("variant", "variant"), ("seed", "seed"),
@@ -77,6 +80,10 @@ def _config_from_args(args) -> RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             setattr(cfg, field, value)
+    try:
+        cfg.model_config()  # the model's own checks: head split, k range, precision
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     return cfg
 
 

@@ -84,7 +84,7 @@ def _coerce_value(name: str, raw: str):
         except (SyntaxError, ValueError):
             value = None
         if not isinstance(value, str):
-            raise ValueError(f"config key '{name}': {raw} is not one quoted string")
+            raise ValueError(f"{raw} is not one quoted string")
         return value
     return raw
 
@@ -126,12 +126,16 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         pairs.append((lineno, key, raw))
 
     cfg = dataclasses.replace(base) if base is not None else preset("paper-base")
-    for _, key, raw in pairs:
-        if key == "preset":
-            cfg = preset(str(_coerce_value("preset", raw)))
-    for _, key, raw in pairs:
-        if key != "preset":
-            setattr(cfg, key, _coerce_value(key, raw))
+    presets_first = [p for p in pairs if p[1] == "preset"] + [p for p in pairs if p[1] != "preset"]
+    for lineno, key, raw in presets_first:
+        try:
+            value = _coerce_value(key, raw)
+            if key == "preset":
+                cfg = preset(value)
+            else:
+                setattr(cfg, key, value)
+        except ValueError as err:
+            raise ValueError(f"config line {lineno}: key '{key}': {err}") from None
     return cfg
 
 

@@ -1,18 +1,18 @@
 """Per-expert feed-forward networks and the sparse dispatch/combine.
 
-Each expert is a two-layer ReLU MLP of identical shape. The combine step
-evaluates only the experts actually selected for at least one token and
-scatter-adds ``gate * expert(x)`` back into the output, reducing in expert
-index order so results are deterministic.
+Each expert is a two-layer ReLU MLP of identical shape. The combine step is
+one ``expert_ffn`` op: the routed (token, expert) pairs are grouped by
+expert, each selected expert runs once on its contiguous slice of tokens,
+and ``gate * expert(x)`` is summed per token in expert index order, so
+results are deterministic. Unselected experts are never evaluated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, combine_rows, gather_rows, matmul, mul, relu, reshape
-
 from .routing import RouterDecision
+from .tensor import Tensor, add, expert_ffn, matmul, relu
 
 
 class ExpertBank:
@@ -58,21 +58,5 @@ def moe_combine(x: Tensor, decision: RouterDecision, bank: ExpertBank) -> Tensor
     if decision.indices.max(initial=0) >= n or decision.indices.min(initial=0) < 0:
         raise ValueError(f"decision indices exceed N={n}")
 
-    m = b * t
-    x_flat = reshape(x, (m, d))
-    # one gate per row, so expert i's gate for token r is row r * n + i
-    gate_rows = reshape(decision.gates, (m * n, 1))
-    idx_flat = decision.indices.reshape(m, -1)
-
-    segments = []
-    for i in range(n):
-        rows = np.nonzero((idx_flat == i).any(axis=1))[0]
-        if rows.size == 0:
-            continue
-        tokens = gather_rows(x_flat, rows)
-        out_i = bank.apply(tokens, i)
-        bank.invocations += int(rows.size)
-        segments.append((rows, mul(gather_rows(gate_rows, rows * n + i), out_i)))
-    if not segments:
-        raise ValueError("no expert selected for any token")
-    return reshape(combine_rows(segments, m), (b, t, d))
+    bank.invocations += int(decision.indices.size)
+    return expert_ffn(x, decision.gates, decision.indices, bank.w1, bank.b1, bank.w2, bank.b2)

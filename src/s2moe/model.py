@@ -15,17 +15,7 @@ import numpy as np
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
 from .stochastic import RngStream
-from .tensor import (
-    Tensor,
-    add,
-    gather_rows,
-    layernorm,
-    matmul,
-    mul,
-    reshape,
-    softmax,
-    transpose,
-)
+from .tensor import Tensor, add, causal_attention, gather_rows, layernorm, matmul, mul, transpose
 
 
 @dataclass
@@ -69,7 +59,6 @@ class Attention:
 
     def __init__(self, d_model: int, n_heads: int, rng: RngStream, dtype):
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         s = 1.0 / np.sqrt(d_model)
         self.wq = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
         self.wk = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
@@ -80,19 +69,8 @@ class Attention:
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
     def forward(self, x: Tensor) -> Tensor:
-        b, t, d = x.shape
-        h, dh = self.n_heads, self.d_head
-
-        def heads(w):
-            return transpose(reshape(matmul(x, w), (b, t, h, dh)), (0, 2, 1, 3))
-
-        q, k, v = heads(self.wq), heads(self.wk), heads(self.wv)
-        scores = matmul(q, transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        # additive causal mask; -1e9 is effectively -inf after softmax
-        mask = np.triu(np.full((t, t), -1e9, dtype=x.dtype), k=1)[None, None]
-        attn = softmax(add(scores, Tensor(mask)), axis=-1)
-        mixed = transpose(matmul(attn, v), (0, 2, 1, 3))
-        return matmul(reshape(mixed, (b, t, d)), self.wo)
+        q, k, v = matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv)
+        return matmul(causal_attention(q, k, v, self.n_heads), self.wo)
 
 
 class DecoderBlock:

@@ -390,15 +390,20 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _finish("transpose", out, (a,), bw)
 
 
+def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, keeping a single-row 2-D product on the same BLAS kernel as
+    a multi-row one (numpy sends a 1 x K product to gemv, which rounds
+    differently), so a token's result does not depend on how many rows share
+    its slab."""
+    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} do not match")
-    if a.data.ndim == 2 and b.data.ndim == 2 and a.shape[0] == 1:
-        # keep single-row products on the same BLAS kernel as multi-row ones,
-        # so a token's result does not depend on how many rows share its slab
-        out = (np.concatenate([a.data, a.data]) @ b.data)[:1]
-    else:
-        out = a.data @ b.data
+    out = _gemm(a.data, b.data)
     a_data, b_data = a.data, b.data
 
     def bw(g):
@@ -420,7 +425,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# row gather / combine
+# row gather
 
 
 def _strictly_increasing(idx: np.ndarray) -> bool:
@@ -446,29 +451,6 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         return [ga]
 
     return _finish("gather-rows", out, (a,), bw)
-
-
-def combine_rows(segments: list[tuple[np.ndarray, "Tensor"]], size: int) -> Tensor:
-    """Scatter-accumulate several row blocks into one array of ``size`` rows.
-
-    Each segment is (idx, rows) with idx strictly increasing within the
-    segment; segments may overlap each other. Fuses what would otherwise be a
-    chain of scatter + add ops.
-    """
-    first = segments[0][1]
-    out = np.zeros((size,) + first.shape[1:], dtype=first.dtype)
-    idxs = []
-    inputs = []
-    for idx, rows in segments:
-        idx = np.asarray(idx)
-        out[idx] += rows.data
-        idxs.append(idx)
-        inputs.append(rows)
-
-    def bw(g):
-        return [g[idx] for idx in idxs]
-
-    return _finish("combine-rows", out, tuple(inputs), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +484,128 @@ def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
         return [inv * (g - gm - y * gym)]
 
     return _finish("layer-norm", y, (a,), bw)
+
+
+_causal_masks: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+
+def _causal_mask(t: int, dtype) -> np.ndarray:
+    """The additive (t, t) mask: -1e9 above the diagonal, effectively -inf
+    after softmax. Cached read-only per (t, dtype)."""
+    key = (t, np.dtype(dtype))
+    mask = _causal_masks.get(key)
+    if mask is None:
+        mask = _causal_masks[key] = np.triu(np.full((t, t), -1e9, dtype=dtype), k=1)
+        mask.flags.writeable = False
+    return mask
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal attention over (B, T, d) projections: per head,
+    softmax(q k^T / sqrt(dh) + mask) v, with the heads merged back to d.
+
+    The backward reuses the saved probabilities and recomputes nothing.
+    """
+    if not q.shape == k.shape == v.shape or q.data.ndim != 3:
+        raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
+                         f"got {q.shape}, {k.shape}, {v.shape}")
+    b, t, d = q.shape
+    if d % n_heads:
+        raise ShapeError(f"causal-attention: d={d} is not divisible by {n_heads} heads")
+    h, dh = n_heads, d // n_heads
+
+    def split(a):  # (B, T, d) -> contiguous (B, h, T, dh)
+        return np.ascontiguousarray(a.reshape(b, t, h, dh).transpose(0, 2, 1, 3))
+
+    def merge(a):  # (B, h, T, dh) -> (B, T, d)
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = q.dtype.type(1.0 / np.sqrt(dh))
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p += _causal_mask(t, q.dtype)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merge(p @ vh)
+
+    def bw(g):
+        gh = g.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
+        gp = gh @ vh.transpose(0, 1, 3, 2)
+        gv = p.transpose(0, 1, 3, 2) @ gh
+        # softmax backward from the saved output, then the scale
+        gp -= (gp * p).sum(axis=-1, keepdims=True)
+        gp *= p
+        gp *= scale
+        gq = gp @ kh
+        gk = (qh.transpose(0, 1, 3, 2) @ gp).transpose(0, 1, 3, 2)
+        return [merge(gq), merge(gk), merge(gv)]
+
+    return _finish("causal-attention", out, (q, k, v), bw)
+
+
+def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tensor],
+               b1: Sequence[Tensor], w2: Sequence[Tensor], b2: Sequence[Tensor]) -> Tensor:
+    """Routed two-layer ReLU experts: row r of ``x`` (..., d) gets
+    sum_j gates[r, e] * (relu(x[r] @ w1[e] + b1[e]) @ w2[e] + b2[e]) over
+    its selected experts e = indices[r, j].
+
+    A stable sort groups the (row, slot) pairs by expert with rows ascending,
+    and each expert runs its GEMMs on one contiguous slice of the gathered
+    rows. A row's contributions are summed from zero in ascending expert
+    order; the backward sums its dx in descending expert order. Experts no
+    row selects are never run and get no gradient.
+    """
+    n, d = len(w1), x.shape[-1]
+    xf = x.data.reshape(-1, d)
+    m = xf.shape[0]
+    if gates.shape[:-1] != x.shape[:-1] or gates.shape[-1] != n:
+        raise ShapeError(f"expert-ffn: gates {gates.shape} do not match x {x.shape} and {n} experts")
+    flat = np.asarray(indices).reshape(-1)
+    if flat.size == 0 or flat.size % m:
+        raise ShapeError(f"expert-ffn: indices {np.shape(indices)} do not give every row of x {x.shape} k slots")
+    if flat.min() < 0 or flat.max() >= n:
+        raise ShapeError(f"expert-ffn: expert index outside [0, {n})")
+    order = np.argsort(flat, kind="stable")
+    rows, experts = order // (flat.size // m), flat[order]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
+    used = [i for i in range(n) if bounds[i + 1] > bounds[i]]
+    slab = xf[rows]
+    gate = gates.data.reshape(m, n)[rows, experts][:, None]
+
+    out = np.zeros_like(xf)
+    hidden, ys = {}, {}
+    for i in used:
+        lo, hi = bounds[i], bounds[i + 1]
+        hid = _gemm(slab[lo:hi], w1[i].data)
+        hid += b1[i].data
+        np.maximum(hid, 0, out=hid)
+        y = _gemm(hid, w2[i].data)
+        y += b2[i].data
+        out[rows[lo:hi]] += gate[lo:hi] * y
+        hidden[i], ys[i] = hid, y
+
+    def bw(g):
+        gs = g.reshape(m, d)[rows]
+        gy = gs * gate
+        gx = np.zeros_like(xf)
+        g_gate = np.zeros((m, n), dtype=gates.dtype)
+        gw1, gb1, gw2, gb2 = ([None] * n for _ in range(4))
+        for i in reversed(used):
+            lo, hi = bounds[i], bounds[i + 1]
+            g_gate[rows[lo:hi], i] = (gs[lo:hi] * ys[i]).sum(axis=1)
+            gyi = gy[lo:hi]
+            gb2[i] = gyi.sum(axis=0)
+            gw2[i] = hidden[i].T @ gyi
+            gh = gyi @ w2[i].data.T
+            gh *= hidden[i] > 0
+            gb1[i] = gh.sum(axis=0)
+            gw1[i] = slab[lo:hi].T @ gh
+            gx[rows[lo:hi]] += gh @ w1[i].data.T
+        return [gx.reshape(x.shape), g_gate.reshape(gates.shape), *gw1, *gb1, *gw2, *gb2]
+
+    return _finish("expert-ffn", out.reshape(x.shape), (x, gates, *w1, *b1, *w2, *b2), bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -51,3 +51,22 @@ def test_traced_train_records_moe_spans(small_corpus, tmp_path, variant):
         assert totals["moe.s2moe_forward"]["children"]["moe.smoe_forward"] == 2
     else:
         assert "moe.s2moe_forward" not in totals
+
+
+@pytest.mark.parametrize("variant, paths", [("s2moe", 2), ("smoe", 1)])
+def test_traced_train_times_each_fused_op_once_per_call(small_corpus, tmp_path, variant, paths):
+    """Attention is timed once per layer per step and the expert combine once
+    per layer per path; the combine runs every expert inside one op, so
+    ``ExpertBank.apply`` is never called under it."""
+    cfg = tiny_run_config(small_corpus, tmp_path, steps=2, n_layers=2, variant=variant)
+    recorder, bindings = spans.SpanRecorder(), spans.Bindings()
+    workload.install_tracer(recorder, bindings)
+    try:
+        workload.train_mod.train(cfg)
+    finally:
+        bindings.restore()
+    totals = recorder.totals()
+    assert totals["model.attention"]["calls"] == 2 * 2
+    assert totals["experts.combine"]["calls"] == 2 * 2 * paths
+    assert "experts.apply" not in totals["experts.combine"]["children"]
+    assert "experts.apply" not in totals

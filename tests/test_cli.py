@@ -49,6 +49,30 @@ class TestFlops:
         assert cli(["frobnicate"]) == 1
 
 
+class TestMalformedConfig:
+    @pytest.mark.parametrize("text, where", [
+        ("nonsense_key = 3\n", "config line 1: unknown key 'nonsense_key'"),
+        ("# widths\nn_layers = abc\n", "config line 2: key 'n_layers': invalid literal"),
+        ("preset = 'nope'\n", "config line 1: key 'preset': unknown preset 'nope'"),
+        ("steps = 5\ncorpus = 'a\n", "config line 2: key 'corpus': 'a is not one quoted string"),
+    ])
+    def test_is_usage_error_naming_line_and_key(self, text, where, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli(["flops", "--config", str(path), "--k", "1"]) == 1
+        assert f"usage error: {path}: {where}" in capsys.readouterr().err
+
+    def test_values_the_model_rejects_are_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "heads.cfg"
+        path.write_text("d_model = 256\nn_heads = 3\n")
+        assert cli(["flops", "--config", str(path), "--k", "1"]) == 1
+        assert "usage error: d_model 256 not divisible by n_heads 3" in capsys.readouterr().err
+
+    def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
+        assert cli(["flops", "--config", str(tmp_path / "absent.cfg"), "--k", "1"]) == 2
+        assert "absent.cfg" in capsys.readouterr().err
+
+
 class TestTrainEval:
     def test_train_twice_identical_metrics(self, tiny_config_file, capsys):
         path_a, cfg_a = tiny_config_file("runa", seed=7, steps=4)

@@ -31,7 +31,8 @@ def reference_forward(model, tokens, k):
     x = model.embed.data[tokens] + model.pos.data[:t]
     for blk in model.blocks:
         h = ln(x, blk.ln1_g.data, blk.ln1_b.data)
-        nh, dh = blk.attn.n_heads, blk.attn.d_head
+        nh = blk.attn.n_heads
+        dh = cfg.d_model // nh
         q = (h @ blk.attn.wq.data).reshape(b, t, nh, dh).transpose(0, 2, 1, 3)
         kk = (h @ blk.attn.wk.data).reshape(b, t, nh, dh).transpose(0, 2, 1, 3)
         v = (h @ blk.attn.wv.data).reshape(b, t, nh, dh).transpose(0, 2, 1, 3)

@@ -15,8 +15,10 @@ from s2moe.tensor import (
     Tape,
     Tensor,
     backward,
+    causal_attention,
     cross_entropy_logits,
     div,
+    expert_ffn,
     gather_rows,
     grad_check,
     layernorm,
@@ -187,6 +189,24 @@ def test_primitive_gradients_match_finite_differences(seed):
     c2 = Tensor(rng.standard_normal((3, d)), dtype=F64)
     c3 = Tensor(rng.standard_normal((3, d)), dtype=F64)
     targets = rng.integers(0, d, size=3)
+    heads = 2 if d % 2 == 0 else 1
+    # 4 experts of width 3: expert 2 gets one row, expert 3 none
+    slots = np.array([[0, 2], [1, 0], [0, 1]])
+    ex_rng = np.random.default_rng(1000 + seed)
+    wg = Tensor(ex_rng.standard_normal((d, 4)), dtype=F64)
+    w1 = [Tensor(ex_rng.standard_normal((d, 3)), dtype=F64) for _ in range(4)]
+    b1 = [Tensor(ex_rng.standard_normal(3) * 0.1, dtype=F64) for _ in range(4)]
+    w2 = [Tensor(ex_rng.standard_normal((3, d)), dtype=F64) for _ in range(4)]
+    b2 = [Tensor(ex_rng.standard_normal(d) * 0.1, dtype=F64) for _ in range(4)]
+
+    def attention(x):
+        q, k, v = (reshape(a, (1, 3, d)) for a in (x, mul(x, c1), x * 0.5 + c2))
+        return tsum(mul(causal_attention(q, k, v, heads), reshape(c3, (1, 3, d))))
+
+    def experts(x):
+        # x is the routed rows, the gate source and expert 0's first weight
+        gates = sigmoid(matmul(x, wg))
+        return tsum(mul(expert_ffn(x, gates, slots, [reshape(x, (d, 3))] + w1[1:], b1, w2, b2), c1))
 
     cases = {
         "matmul": lambda x: tsum(matmul(x, Tensor(w, dtype=F64))),
@@ -205,6 +225,8 @@ def test_primitive_gradients_match_finite_differences(seed):
         "gather-rows pairs": lambda x: tsum(power(gather_rows(reshape(x, (3 * d, 1)),
                                                               np.unique(rows * d + cols)), 2.0)),
         "cross-entropy": lambda x: cross_entropy_logits(x, targets),
+        "causal-attention": attention,
+        "expert-ffn": experts,
     }
     point = t64(rng.standard_normal((3, d)))
     for name, f in cases.items():
