@@ -114,6 +114,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         name = take(nlen).decode("utf-8")
         code, ndim = struct.unpack("<BB", take(2))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        if code not in _DTYPE_CODES:
+            raise ValueError(f"checkpoint '{path}' tensor '{name}' has unknown dtype code {code}")
         dtype = _DTYPE_CODES[code]
         count = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)

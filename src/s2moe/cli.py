@@ -130,7 +130,7 @@ def _cmd_probe(args) -> int:
     report = None
     for token in range(acts.shape[0]):
         try:
-            report = jacobian_probe(layer, acts[token], k=model.k_eval, stats=stats,
+            report = jacobian_probe(layer, acts[token], k=cfg.k_eval, stats=stats,
                                     noise_rng=RngStream((cfg.seed << 8) + 7))
             break
         except ValueError:
@@ -139,7 +139,7 @@ def _cmd_probe(args) -> int:
         print("no probe point clear of top-k boundaries in this batch", file=sys.stderr)
         return RUNTIME_ERROR
     print(format_jacobian_report(report))
-    print(format_collapse_report(collapse_metrics(model, x)))
+    print(format_collapse_report(collapse_metrics(model, x, cfg.k_eval)))
     return 0
 
 

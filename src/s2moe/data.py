@@ -60,17 +60,11 @@ def pair_count(tokens: np.ndarray, seq_len: int) -> int:
     return max(0, (len(tokens) - 1) // seq_len)
 
 
-def get_pair(tokens: np.ndarray, seq_len: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inputs, targets) for window ``index``; targets are shifted one token."""
-    start = index * seq_len
-    x = tokens[start: start + seq_len]
-    y = tokens[start + 1: start + seq_len + 1]
-    return x, y
-
-
 def make_batch(tokens: np.ndarray, seq_len: int, indices) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = zip(*(get_pair(tokens, seq_len, int(i)) for i in indices))
-    return np.stack(xs), np.stack(ys)
+    """(inputs, targets) stacked over the windows ``indices``; targets are shifted one token."""
+    starts = [int(i) * seq_len for i in indices]
+    return (np.stack([tokens[s: s + seq_len] for s in starts]),
+            np.stack([tokens[s + 1: s + seq_len + 1] for s in starts]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .experts import moe_combine
 from .moe import MoeAux, S2MoeLayer
-from .routing import RouterDecision, route
+from .routing import route
 from .stochastic import RngStream, perturb
 from .tensor import Tape, Tensor, backward, mul, tsum
 
@@ -61,11 +61,6 @@ _FD_EPS = 1e-5          # central-difference step
 _BOUNDARY_TOL = 1e-3    # smallest top-k margin a probe point may have
 
 
-def _freeze_decision(dec: RouterDecision) -> RouterDecision:
-    return RouterDecision(probs=Tensor(dec.probs.data.copy()), indices=dec.indices.copy(),
-                          gates=Tensor(dec.gates.data.copy()), k_used=dec.k_used)
-
-
 def _boundary_gap(probs_row: np.ndarray, k: int) -> float:
     srt = np.sort(probs_row)[::-1]
     if k >= srt.size:
@@ -102,8 +97,8 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
                 raise ValueError(f"jacobian_probe: a stochastic layer needs {name}")
         draw = (noise_rng.seed, noise_rng.counter)  # every forward replays this one noise draw
 
-    def forward(x: Tensor, frozen: tuple | None) -> Tensor:
-        """Layer output at input x; frozen=(dec, dec_noisy) pins routing."""
+    def forward(x: Tensor, frozen: list | None) -> Tensor:
+        """Layer output at input x; frozen=[dec, dec_noisy] pins routing."""
         dec = frozen[0] if frozen else route(x, router, k)
         y = moe_combine(x, dec, experts)
         if stochastic:
@@ -112,19 +107,12 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
             y = layer.mix(x, y, moe_combine(x_hat, dec_n, experts))
         return y
 
+    # the probe point's clean (then noisy) input; their untaped decisions pin the gates
     x0 = Tensor(v0.reshape(1, 1, d))
-    dec0 = route(x0, router, k)
-    gap = _boundary_gap(dec0.probs.data[0, 0], k)
-    if stochastic:
-        xh0 = perturb(x0, stats, noise_rng)
-        dec0_n = route(xh0, router, k)
-        gap = min(gap, _boundary_gap(dec0_n.probs.data[0, 0], k))
-        frozen = (_freeze_decision(dec0), _freeze_decision(dec0_n))
-        kink = min(_kink_gap(experts, v0, dec0.indices),
-                   _kink_gap(experts, xh0.data.reshape(-1), dec0_n.indices))
-    else:
-        frozen = (_freeze_decision(dec0), None)
-        kink = _kink_gap(experts, v0, dec0.indices)
+    inputs = [x0, perturb(x0, stats, noise_rng)] if stochastic else [x0]
+    frozen = [route(x, router, k) for x in inputs]
+    gap = min(_boundary_gap(dec.probs.data[0, 0], k) for dec in frozen)
+    kink = min(_kink_gap(experts, x.data.reshape(-1), dec.indices) for x, dec in zip(inputs, frozen))
     if gap <= _BOUNDARY_TOL:
         raise ValueError(f"probe point sits on a top-k boundary (gap {gap:.3e})")
 
@@ -191,8 +179,8 @@ def routing_stats(auxes: list[MoeAux], n_experts: int) -> tuple[float, np.ndarra
     return float(np.mean(entropies)), load
 
 
-def collapse_metrics(model, tokens: np.ndarray) -> CollapseReport:
-    """Expert-output similarity, router entropy, and load statistics.
+def collapse_metrics(model, tokens: np.ndarray, k: int) -> CollapseReport:
+    """Expert-output similarity, router entropy, and load statistics at inference k.
 
     Every token of the batch is pushed through all N experts of each layer
     (on the layer's actual input activations) and expert pairs are compared
@@ -201,7 +189,7 @@ def collapse_metrics(model, tokens: np.ndarray) -> CollapseReport:
     tokens = np.asarray(tokens)
     if tokens.size < 64:
         raise ValueError("collapse_metrics wants at least 64 tokens")
-    _, auxes = model.lm_forward(tokens, mode="eval")
+    _, auxes = model.lm_forward(tokens, mode="eval", k=k)
 
     per_layer = []
     n = model.cfg.n_experts

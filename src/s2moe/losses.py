@@ -29,7 +29,15 @@ def task_loss(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, float, float
     """Mean token cross-entropy in nats, plus bits-per-character and perplexity."""
     nats = cross_entropy_logits(logits, targets)
     value = nats.item()
-    return nats, value / math.log(2.0), math.exp(value)
+    return nats, value / math.log(2.0), perplexity(value)
+
+
+def perplexity(nats: float) -> float:
+    """exp(nats); inf where that overflows a float (a finite loss above ~709.8 nats)."""
+    try:
+        return math.exp(nats)
+    except OverflowError:
+        return math.inf
 
 
 def balance_loss(decision: RouterDecision) -> Tensor:

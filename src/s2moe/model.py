@@ -135,7 +135,7 @@ def _dropout(x: Tensor, p: float, train: bool, rng: RngStream | None) -> Tensor:
 
 
 class LanguageModel:
-    """Decoder stack with MoE FFNs and configurable inference-time k."""
+    """Decoder stack with MoE FFNs; each forward routes at the k it is given."""
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
@@ -148,7 +148,6 @@ class LanguageModel:
         self.blocks = [DecoderBlock(cfg, i) for i in range(cfg.n_layers)]
         self.lnf_g = Tensor(np.ones(cfg.d_model, dtype=dtype), requires_grad=True)
         self.lnf_b = Tensor(np.zeros(cfg.d_model, dtype=dtype), requires_grad=True)
-        self.k_eval = cfg.k_eval
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         named = [("embed", self.embed), ("pos", self.pos)]
@@ -161,15 +160,10 @@ class LanguageModel:
         for _, t in self.parameters():
             t.zero_grad()
 
-    def set_inference_k(self, k: int) -> None:
-        """Route with k experts in subsequent eval-mode forwards."""
-        if not 1 <= k <= self.cfg.n_experts:
-            raise ValueError(f"k={k} out of range [1, {self.cfg.n_experts}]")
-        self.k_eval = k
-
     def lm_forward(self, tokens: np.ndarray, mode: str = "train",
                    rng: RngStream | None = None, k: int | None = None) -> tuple[Tensor, list[MoeAux]]:
-        """Logits (B, T, V) plus per-layer routing/pooled auxiliaries."""
+        """Logits (B, T, V) plus per-layer routing/pooled auxiliaries, routed at
+        k experts per token (default ``cfg.k_train`` in train mode, ``cfg.k_eval`` in eval)."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode '{mode}'")
         tokens = np.asarray(tokens)
@@ -182,7 +176,7 @@ class LanguageModel:
             raise ValueError("token id out of vocabulary")
         train = mode == "train"
         if k is None:
-            k = self.cfg.k_train if train else self.k_eval
+            k = self.cfg.k_train if train else self.cfg.k_eval
 
         x = add(gather_rows(self.embed, tokens), gather_rows(self.pos, np.arange(t)))
         x = _dropout(x, self.cfg.dropout, train, rng)

@@ -11,7 +11,6 @@ is used wherever gradients are verified against finite differences.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -172,14 +171,9 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
     tape = active_tape()
     requires = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=requires)
-    if _nan_guard:
-        # single-pass screen: any NaN/inf poisons the float64 sum; a finite
-        # sum of finite values cannot overflow float64, so only a non-finite
-        # sum warrants the exact (slower) check
-        if not math.isfinite(float(np.sum(out_data, dtype=np.float64))):
-            if not np.all(np.isfinite(out_data)):
-                where = f" (tape position {len(tape)})" if tape is not None else ""
-                raise NonFiniteError(f"op '{op}' produced non-finite values{where}")
+    if _nan_guard and not np.isfinite(out_data).all():
+        where = f" (tape position {len(tape)})" if tape is not None else ""
+        raise NonFiniteError(f"op '{op}' produced non-finite values{where}")
     if requires:
         out.tape = tape
         out.node_id = tape.append(_Record(op, tuple(inputs), backward_fn))
@@ -401,19 +395,12 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeError(f"matmul: inner dimensions of {a.shape} and {b.shape} do not match")
+    if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or the right operand is 1-D")
     out = _gemm(a.data, b.data)
     a_data, b_data = a.data, b.data
 
     def bw(g):
-        if a_data.ndim == 1 and b_data.ndim == 1:
-            return [g * b_data, g * a_data]
-        if b_data.ndim == 1:
-            # (..., n) @ (n,) -> (...)
-            ga = g[..., None] * b_data
-            gb = np.tensordot(g, a_data, axes=(tuple(range(g.ndim)), tuple(range(a_data.ndim - 1))))
-            return [ga, gb]
         if a_data.ndim == 1:
             # (n,) @ (n, m) -> (m,)
             return [g @ b_data.T, np.outer(a_data, g)]

@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpo
 from .config import RunConfig, parse_config_text
 from .data import Corpus, ingest_corpus, make_batch, pair_count
 from .diagnostics import CollapseReport, collapse_metrics, gini, routing_stats
-from .losses import PooledPair, balance_loss, task_loss, total_loss, uncertainty_loss
+from .losses import PooledPair, balance_loss, perplexity, task_loss, total_loss, uncertainty_loss
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
@@ -366,7 +366,8 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     tokens = {"train": corpus.train, "val": corpus.val, "test": corpus.test}.get(split)
     if tokens is None:
         raise ValueError(f"unknown split '{split}'")
-    model.set_inference_k(k)
+    if not 1 <= k <= cfg.n_experts:
+        raise ValueError(f"k={k} out of range [1, {cfg.n_experts}]")
     pairs = pair_count(tokens, cfg.seq_len)
     if pairs == 0:
         raise ValueError(f"split '{split}' shorter than one sequence")
@@ -375,7 +376,7 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     for start in range(0, pairs, cfg.batch_size):
         idx = range(start, min(start + cfg.batch_size, pairs))
         x, y = make_batch(tokens, cfg.seq_len, idx)
-        nats = _checked(lambda: task_loss(model.lm_forward(x, "eval")[0], y)[0].item(),
+        nats = _checked(lambda: task_loss(model.lm_forward(x, "eval", k=k)[0], y)[0].item(),
                         lambda value: "" if math.isfinite(value) else f"non-finite nats at {split} window {start}")
         total_nats += nats * x.size
         count += x.size
@@ -384,8 +385,8 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     collapse = None
     if with_collapse:
         batch = collapse_batch(tokens, cfg.seq_len, split)
-        collapse = _checked(lambda: collapse_metrics(model, batch), _collapse_faults)
-    return EvalResult(bpc=mean_nats / math.log(2), ppl=math.exp(mean_nats),
+        collapse = _checked(lambda: collapse_metrics(model, batch, k), _collapse_faults)
+    return EvalResult(bpc=mean_nats / math.log(2), ppl=perplexity(mean_nats),
                       nats=mean_nats, n_tokens=count, k=k, collapse=collapse)
 
 

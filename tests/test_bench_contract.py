@@ -1,6 +1,7 @@
 """The benchmark's hooks into the program: every binding the traced run
 (``perfbench/run.py --trace 1``) wraps still exists where it is looked up,
-and a traced training run still counts tape records."""
+a traced training run still counts tape records, and the probe that every
+run, traced or not, installs still sees each step, forward and routed pair."""
 
 import sys
 from pathlib import Path
@@ -70,3 +71,26 @@ def test_traced_train_times_each_fused_op_once_per_call(small_corpus, tmp_path, 
     assert totals["experts.combine"]["calls"] == 2 * 2 * paths
     assert "experts.apply" not in totals["experts.combine"]["children"]
     assert "experts.apply" not in totals
+
+
+def test_untraced_probe_sees_an_episode_and_both_eval_passes(small_corpus, tmp_path):
+    """``workload.Probe`` is all an untraced run (``--trace 0``) installs: it
+    stamps every step from ``make_batch``, captures the model from
+    ``build_model`` and reads each ``lm_forward``'s decisions."""
+    cfg = tiny_run_config(small_corpus, tmp_path, steps=2)
+    bindings = spans.Bindings()
+    probe = workload.Probe(bindings)
+    try:
+        episode = workload.run_episode(cfg, probe)
+        passes = {k: workload.run_eval_pass(episode.final_checkpoint, k, collapse, probe)
+                  for k, collapse in ((1, False), (2, True))}
+    finally:
+        restored = bindings.restore()
+    assert restored
+    assert len(episode.stamps) == len(episode.step_s) == cfg.steps
+    assert [(mode, k) for mode, k, _ in episode.forwards] == [("train", cfg.k_train)] * cfg.steps
+    for unit in [episode, *passes.values()]:
+        assert unit.invocations == unit.routed_pairs > 0
+    for k, unit in passes.items():
+        assert unit.k == k and unit.forwards
+        assert {(mode, k_used) for mode, k_used, _ in unit.forwards} == {("eval", k)}

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, exit codes, printed reports."""
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from s2moe.model import ModelConfig
 from s2moe.routing import VARIANTS
 from s2moe.train import metrics_equal
 
-from conftest import tiny_run_config
+from conftest import dtype_code_offset, tiny_run_config
 
 
 @pytest.fixture()
@@ -107,6 +108,30 @@ class TestTrainEval:
         capsys.readouterr()
         assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 2
         assert "error: op 'add' produced non-finite values" in capsys.readouterr().err
+
+    def test_eval_of_diverged_checkpoint_prints_inf_perplexity(self, tiny_config_file, capsys):
+        path, cfg = tiny_config_file("rdiverged", steps=1)
+        assert cli(["train", "--config", path]) == 0
+        ckpt = cfg.out_dir + "/ckpt-final.bin"
+        ck = load_checkpoint(ckpt)
+        dict(ck.tensors)["embed"][:] *= 1e4  # logits past exp's float range
+        save_checkpoint(ckpt, ck)
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 0
+        out = capsys.readouterr().out
+        assert "ppl = inf\n" in out
+        assert float(re.search(r"bpc = (\S+)", out).group(1)) > 710 / np.log(2)
+
+    def test_eval_of_checkpoint_with_unknown_dtype_code_is_runtime_error(self, tiny_config_file, capsys):
+        path, cfg = tiny_config_file("rdtype", steps=1)
+        assert cli(["train", "--config", path]) == 0
+        ckpt = cfg.out_dir + "/ckpt-final.bin"
+        blob = bytearray(Path(ckpt).read_bytes())
+        blob[dtype_code_offset(load_checkpoint(ckpt))] = 7
+        Path(ckpt).write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 2
+        assert capsys.readouterr().err == f"error: checkpoint '{ckpt}' tensor 'embed' has unknown dtype code 7\n"
 
     def test_probe_prints_reports(self, tiny_config_file, capsys):
         path, cfg = tiny_config_file("rprobe", steps=3)

@@ -109,7 +109,7 @@ class TestCollapseMetrics:
                 bank.w2[i].data[:] = bank.w2[0].data
                 bank.b2[i].data[:] = bank.b2[0].data
         tokens = np.random.default_rng(0).integers(0, 11, size=(4, 32))
-        rep = collapse_metrics(model, tokens)
+        rep = collapse_metrics(model, tokens, 2)
         assert rep.mean_pairwise_cosine == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_router_entropy_is_ln_n(self):
@@ -117,13 +117,13 @@ class TestCollapseMetrics:
         for blk in model.blocks:
             blk.moe.router.w_e.data[:] = 0.0
         tokens = np.random.default_rng(1).integers(0, 11, size=(4, 32))
-        rep = collapse_metrics(model, tokens)
+        rep = collapse_metrics(model, tokens, 2)
         assert rep.router_entropy == pytest.approx(math.log(4), abs=1e-9)
 
     def test_matches_pairwise_cosine_oracle(self):
         model = LanguageModel(self.cfg(n_layers=1))
         tokens = np.random.default_rng(2).integers(0, 11, size=(2, 32))
-        rep = collapse_metrics(model, tokens)
+        rep = collapse_metrics(model, tokens, 2)
 
         # oracle: recompute with explicit loops from the layer inputs
         _, auxes = model.lm_forward(tokens, mode="eval")
@@ -144,12 +144,12 @@ class TestCollapseMetrics:
     def test_small_batch_rejected(self):
         model = LanguageModel(self.cfg())
         with pytest.raises(ValueError):
-            collapse_metrics(model, np.zeros((1, 8), dtype=int))
+            collapse_metrics(model, np.zeros((1, 8), dtype=int), 2)
 
     def test_load_histogram_sums_to_one(self):
         model = LanguageModel(self.cfg())
         tokens = np.random.default_rng(3).integers(0, 11, size=(4, 32))
-        rep = collapse_metrics(model, tokens)
+        rep = collapse_metrics(model, tokens, 2)
         assert rep.expert_load.sum() == pytest.approx(1.0)
         assert 0.0 <= rep.load_gini <= 1.0
 

@@ -26,7 +26,7 @@ from s2moe.train import (
     train,
 )
 
-from conftest import tiny_run_config
+from conftest import dtype_code_offset, tiny_run_config
 
 # ``s2moe.train`` is shadowed by the re-exported function of the same name
 train_module = importlib.import_module("s2moe.train")
@@ -227,6 +227,40 @@ class TestCheckpoint:
             apply_tensors([("w", Tensor(np.zeros((2, 2))))], ck)
         assert "shape mismatch" in str(err.value)
 
+    def rewrite(self, tmp_path, edit):
+        """The checkpoint of ``make``, its bytes passed through ``edit``, at a new path."""
+        path, ck = self.make(tmp_path)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(edit(bytearray(open(path, "rb").read()), ck))
+        return str(bad)
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        def set_code(blob, ck):
+            assert blob[dtype_code_offset(ck)] == 0  # f32
+            blob[dtype_code_offset(ck)] = 7
+            return bytes(blob)
+
+        bad = self.rewrite(tmp_path, set_code)
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(bad)}' tensor 'w' has unknown dtype code 7$"):
+            load_checkpoint(bad)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        bad = self.rewrite(tmp_path, lambda blob, ck: bytes(blob[:-3]))
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(bad)}' truncated at offset \d+$"):
+            load_checkpoint(bad)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        bad = self.rewrite(tmp_path, lambda blob, ck: bytes(blob) + b"\0\0")
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(bad)}' has 2 trailing bytes$"):
+            load_checkpoint(bad)
+
+    def test_missing_model_tensor_rejected(self, tmp_path):
+        from s2moe.tensor import Tensor
+        path, _ = self.make(tmp_path)
+        with pytest.raises(ValueError, match="^checkpoint missing tensor 'absent'$"):
+            apply_tensors([("w", Tensor(np.zeros((3, 4)))), ("absent", Tensor(np.zeros(2)))],
+                          load_checkpoint(path))
+
 
 class TestTraining:
     def test_same_seed_identical_metrics(self, small_corpus, tmp_path):
@@ -403,6 +437,19 @@ class TestTraining:
         # same seed, same batches, same k: the stochastic variant runs the
         # expert bank exactly twice as often (two paths), nothing else differs
         assert counts["s2moe"] == 2 * counts["smoe"]
+
+    def test_diverged_finite_loss_completes_with_inf_perplexity(self, small_corpus, tmp_path):
+        # logits scaled by 1e4 put the cross-entropy far past exp's float range
+        def blow_up(model):
+            model.embed.data *= 1e4
+
+        cfg = tiny_run_config(small_corpus, tmp_path / "diverged", steps=1)
+        result = train(cfg, model_hook=blow_up)
+        (row,) = result.rows
+        assert math.isfinite(row.task_nats) and row.task_nats > 710
+        evaluated, _ = evaluate_checkpoint(result.final_checkpoint, k=2, split="val", with_collapse=False)
+        assert math.isfinite(evaluated.nats) and evaluated.nats > 710
+        assert evaluated.ppl == math.inf
 
     def test_nan_abort_retains_checkpoints(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "boom", steps=2, ckpt_interval=1)

@@ -61,6 +61,15 @@ class TestTaskLoss:
         assert bpc == pytest.approx(acc / math.log(2), rel=1e-12)
         assert ppl == pytest.approx(math.exp(acc), rel=1e-12)
 
+    def test_perplexity_past_float_range_is_inf(self):
+        # the wrong class scores 800 above the target: 800 nats per token
+        logits = np.zeros((1, 2, 3), dtype=F64)
+        logits[..., 1] = 800.0
+        nats, bpc, ppl = task_loss(Tensor(logits), np.zeros((1, 2), dtype=int))
+        assert nats.item() == pytest.approx(800.0, rel=1e-12)
+        assert bpc == pytest.approx(800.0 / math.log(2), rel=1e-12)
+        assert ppl == math.inf
+
     def test_target_out_of_range_rejected(self):
         from s2moe.tensor import ShapeError
         with pytest.raises(ShapeError):

@@ -1,11 +1,16 @@
 """Decoder LM tests: causality, a straight-line forward oracle, k switching."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from s2moe.config import RunConfig
+from s2moe.data import Corpus
 from s2moe.model import LanguageModel, ModelConfig
 from s2moe.stochastic import RngStream
 from s2moe.tensor import Tape, backward
+from s2moe.train import evaluate_model
 
 F64 = np.float64
 
@@ -16,6 +21,16 @@ def tiny_cfg(**kw):
                 variant="smoe", seed=3, precision="f64")
     base.update(kw)
     return ModelConfig(**base)
+
+
+def eval_setup(model):
+    """A corpus over the model's vocabulary and a run config with the model's fields."""
+    tokens = np.random.default_rng(9).integers(0, model.cfg.vocab_size, size=40)
+    corpus = Corpus(vocab_bytes=list(range(model.cfg.vocab_size - 1)), unk_id=model.cfg.vocab_size - 1,
+                    train=tokens, val=tokens, test=tokens)
+    fields = dataclasses.asdict(model.cfg)
+    fields.update(stage_boundary=-1, batch_size=2)
+    return corpus, RunConfig(**fields)
 
 
 def reference_forward(model, tokens, k):
@@ -112,9 +127,8 @@ class TestLmForward:
 class TestInferenceK:
     def test_full_k_makes_gates_equal_probs(self):
         model = LanguageModel(tiny_cfg())
-        model.set_inference_k(4)
         tokens = np.random.default_rng(4).integers(0, 5, size=(1, 4))
-        _, aux = model.lm_forward(tokens, mode="eval")
+        _, aux = model.lm_forward(tokens, mode="eval", k=4)
         np.testing.assert_array_equal(aux[0].decision.gates.data, aux[0].decision.probs.data)
 
     def test_invocation_counter_doubles_with_k(self):
@@ -122,22 +136,31 @@ class TestInferenceK:
         tokens = np.random.default_rng(5).integers(0, 5, size=(2, 6))
         counts = {}
         for k in (1, 2):
-            model.set_inference_k(k)
             for blk in model.blocks:
                 blk.moe.experts.invocations = 0
-            model.lm_forward(tokens, mode="eval")
+            model.lm_forward(tokens, mode="eval", k=k)
             counts[k] = sum(blk.moe.experts.invocations for blk in model.blocks)
         assert counts[2] == 2 * counts[1] == 2 * 2 * 6
 
-    def test_set_k_idempotent_and_validated(self):
+    def test_k_outside_range_refused_by_forward_and_evaluate(self):
         model = LanguageModel(tiny_cfg())
-        model.set_inference_k(3)
-        model.set_inference_k(3)
-        assert model.k_eval == 3
-        with pytest.raises(ValueError):
-            model.set_inference_k(0)
-        with pytest.raises(ValueError):
-            model.set_inference_k(5)
+        corpus, run_cfg = eval_setup(model)
+        tokens = np.random.default_rng(4).integers(0, 5, size=(1, 4))
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=rf"^k={k} out of range \[1, 4\]$"):
+                model.lm_forward(tokens, mode="eval", k=k)
+            with pytest.raises(ValueError, match=rf"^k={k} out of range \[1, 4\]$"):
+                evaluate_model(model, corpus, run_cfg, k=k, split="val")
+        # refused before any batch runs
+        assert sum(blk.moe.experts.invocations for blk in model.blocks) == 0
+
+    def test_evaluate_leaves_default_eval_k_unchanged(self):
+        model = LanguageModel(tiny_cfg())
+        corpus, run_cfg = eval_setup(model)
+        assert evaluate_model(model, corpus, run_cfg, k=1, split="val", with_collapse=False).k == 1
+        tokens = np.random.default_rng(4).integers(0, 5, size=(1, 4))
+        _, aux = model.lm_forward(tokens, mode="eval")
+        assert aux[0].decision.k_used == model.cfg.k_eval == 2
 
     def test_k_only_affects_moe_sublayer(self):
         # with expert output projections zeroed, the MoE sublayer contributes
@@ -150,8 +173,7 @@ class TestInferenceK:
         tokens = np.random.default_rng(6).integers(0, 5, size=(1, 5))
         outs = []
         for k in (1, 2, 4):
-            model.set_inference_k(k)
-            logits, _ = model.lm_forward(tokens, mode="eval")
+            logits, _ = model.lm_forward(tokens, mode="eval", k=k)
             outs.append(logits.data.copy())
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
 

@@ -14,6 +14,7 @@ from s2moe.tensor import (
     ShapeError,
     Tape,
     Tensor,
+    add,
     backward,
     causal_attention,
     cross_entropy_logits,
@@ -61,6 +62,12 @@ class TestForwardDefinitions:
             matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
+    @pytest.mark.parametrize("left", [(3,), (2, 3)], ids=["vector", "matrix"])
+    def test_matmul_refuses_1d_right_operand(self, left):
+        with pytest.raises(ShapeError) as err:
+            matmul(t64(np.ones(left)), t64(np.ones(3)))
+        assert str(left) in str(err.value) and "(3,)" in str(err.value)
+
     def test_nan_guard(self):
         with pytest.raises(NonFiniteError) as err:
             div(t64([1.0], rg=True), t64([0.0]))
@@ -71,6 +78,9 @@ class TestForwardDefinitions:
             assert np.isinf(out.data[0])
         finally:
             set_nan_guard(True)
+        # finite values whose float64 sum overflows are still finite
+        out = add(t64([[1e308], [1e308]], rg=True), t64([[0.0], [0.0]]))
+        np.testing.assert_array_equal(out.data, [[1e308], [1e308]])
 
     def test_cross_entropy_rejects_bad_target(self):
         with pytest.raises(ShapeError):
