@@ -5,14 +5,15 @@ Layout:
     version     u32
     config      u32 length + utf-8 key=value text
     step        u64      (completed optimizer steps)
-    rng states  u32 count, then per state: u16 name length + name,
-                u64 seed, u64 counter
+    rng states  u32 count 0; an older file's states (per state: u16 name
+                length + name, u64 seed, u64 counter) are read and dropped,
+                because a resume derives both streams from the seed and step
     tensors     u32 count, then per tensor: u16 name length + name,
                 u8 dtype code (0 = f32, 1 = f64), u8 ndim, u32 dims,
                 raw little-endian data
 
-Saving the result of a load reproduces the file byte for byte, and a save
-replaces the file at its path atomically.
+Saving the result of a load reproduces the file byte for byte (less an
+older file's rng states), and a save replaces the file at its path atomically.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 class Checkpoint:
     config_text: str
     step: int
-    rng_states: list[tuple[str, int, int]]          # (name, seed, counter)
     tensors: list[tuple[str, np.ndarray]]           # insertion order preserved
-
-    def tensor_dict(self) -> dict[str, np.ndarray]:
-        return dict(self.tensors)
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
@@ -47,13 +44,7 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     parts.append(struct.pack("<I", len(config_bytes)))
     parts.append(config_bytes)
     parts.append(struct.pack("<Q", ckpt.step))
-
-    parts.append(struct.pack("<I", len(ckpt.rng_states)))
-    for name, seed, counter in ckpt.rng_states:
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<QQ", seed, counter))
+    parts.append(struct.pack("<I", 0))  # no rng states
 
     parts.append(struct.pack("<I", len(ckpt.tensors)))
     for name, arr in ckpt.tensors:
@@ -100,12 +91,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     (step,) = struct.unpack("<Q", take(8))
 
     (n_rng,) = struct.unpack("<I", take(4))
-    rng_states = []
     for _ in range(n_rng):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
-        seed, counter = struct.unpack("<QQ", take(16))
-        rng_states.append((name, seed, counter))
+        take(nlen + 16)
 
     (n_tensors,) = struct.unpack("<I", take(4))
     tensors = []
@@ -122,12 +110,12 @@ def load_checkpoint(path: str) -> Checkpoint:
         tensors.append((name, arr.copy()))
     if off != len(blob):
         raise ValueError(f"checkpoint '{path}' has {len(blob) - off} trailing bytes")
-    return Checkpoint(config_text=config_text, step=step, rng_states=rng_states, tensors=tensors)
+    return Checkpoint(config_text=config_text, step=step, tensors=tensors)
 
 
 def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint) -> None:
-    """Copy checkpoint tensors into model parameters, validating shapes."""
-    stored = ckpt.tensor_dict()
+    """Copy checkpoint tensors into named tensors, validating names and shapes."""
+    stored = dict(ckpt.tensors)
     for name, tensor in named_params:
         if name not in stored:
             raise ValueError(f"checkpoint missing tensor '{name}'")

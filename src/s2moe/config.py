@@ -40,6 +40,10 @@ class RunConfig(ModelConfig):
     split_test: float = 0.05
 
     def model_config(self) -> ModelConfig:
+        """The model's fields as a ``ModelConfig``, which checks them, after the run loop's checks."""
+        for key, low in (("batch_size", 1), ("eval_interval", 1), ("ckpt_interval", 1), ("steps", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} = {getattr(self, key)} must be at least {low}")
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
         if self.stage_boundary < 0:
             fields["stage_boundary"] = self.steps // 2

@@ -174,7 +174,8 @@ def routing_stats(auxes: list[MoeAux], n_experts: int) -> tuple[float, np.ndarra
     load = np.zeros(n_experts)
     for aux in auxes:
         p = aux.decision.probs.data.reshape(-1, n_experts)
-        entropies.append(float(np.mean(-np.sum(p * np.log(np.maximum(p, 1e-300)), axis=-1))))
+        log_p = np.log(p, where=p > 0, out=np.zeros_like(p))  # 0 log 0 = 0
+        entropies.append(float(np.mean(-np.sum(p * log_p, axis=-1))))
         load += np.bincount(aux.decision.indices.reshape(-1), minlength=n_experts)
     return float(np.mean(entropies)), load
 

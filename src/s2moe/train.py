@@ -24,7 +24,7 @@ from .losses import PooledPair, balance_loss, perplexity, task_loss, total_loss,
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
-from .tensor import NonFiniteError, Tape, backward, nan_guard
+from .tensor import NonFiniteError, Tape, Tensor, backward, nan_guard
 
 # stream ids under (seed << 8)
 _STREAM_BATCH = 3
@@ -82,41 +82,33 @@ def metrics_equal(path_a: str, path_b: str) -> bool:
 
 
 class Adam:
-    """Adam over named parameters; frozen and gradient-free tensors are skipped."""
+    """Adam over named parameters; frozen and gradient-free tensors are skipped.
+    Its moments are named tensors, saved and restored with the parameters."""
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.named = list(named_params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = {name: np.zeros_like(t.data) for name, t in self.named}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.named}
+        self.m = [Tensor(np.zeros_like(t.data)) for _, t in self.named]
+        self.v = [Tensor(np.zeros_like(t.data)) for _, t in self.named]
 
     def step(self, t: int) -> None:
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for name, p in self.named:
+        for (_, p), m, v in zip(self.named, self.m, self.v):
             if not p.requires_grad or p.grad is None:
                 continue
             g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m.data *= self.beta1
+            m.data += (1.0 - self.beta1) * g
+            v.data *= self.beta2
+            v.data += (1.0 - self.beta2) * (g * g)
+            p.data = p.data - self.lr * (m.data / c1) / (np.sqrt(v.data / c2) + self.eps)
 
-    def state_tensors(self):
-        out = []
-        for name, _ in self.named:
-            out.append((f"adam.m.{name}", self.m[name]))
-            out.append((f"adam.v.{name}", self.v[name]))
-        return out
-
-    def load_state(self, stored: dict[str, np.ndarray]) -> None:
-        for name, _ in self.named:
-            self.m[name] = stored[f"adam.m.{name}"].astype(self.m[name].dtype, copy=True)
-            self.v[name] = stored[f"adam.v.{name}"].astype(self.v[name].dtype, copy=True)
+    def state(self) -> list[tuple[str, Tensor]]:
+        """``adam.m.<name>`` then ``adam.v.<name>`` for each parameter, in order."""
+        return [pair for (name, _), m, v in zip(self.named, self.m, self.v)
+                for pair in ((f"adam.m.{name}", m), (f"adam.v.{name}", v))]
 
 
 def clip_global_norm(named_params, max_norm: float) -> float:
@@ -206,17 +198,8 @@ def _step_faults(model: LanguageModel, result) -> str:
 
 
 def _save_state(path: str, cfg: RunConfig, model: LanguageModel, adam: Adam, step: int) -> None:
-    base = cfg.seed << 8
-    tensors = [(name, t.data) for name, t in model.parameters()]
-    tensors += adam.state_tensors()
-    ckpt = Checkpoint(
-        config_text=cfg.to_text(),
-        step=step,
-        rng_states=[("batch", base + _STREAM_BATCH, step),
-                    ("forward", base + _STREAM_FORWARD, step * _FORWARD_STRIDE)],
-        tensors=tensors,
-    )
-    save_checkpoint(path, ckpt)
+    tensors = [(name, t.data) for name, t in model.parameters() + adam.state()]
+    save_checkpoint(path, Checkpoint(config_text=cfg.to_text(), step=step, tensors=tensors))
 
 
 def build_model(cfg: RunConfig, corpus: Corpus) -> LanguageModel:
@@ -274,8 +257,7 @@ def train(cfg: RunConfig, resume_from: str | None = None,
         if ck.step > cfg.steps:
             raise ValueError(f"checkpoint '{resume_from}' is at step {ck.step}, "
                              f"past the run's steps = {cfg.steps}")
-        apply_tensors(model.parameters(), ck)
-        adam.load_state(ck.tensor_dict())
+        apply_tensors(model.parameters() + adam.state(), ck)
         start_step = ck.step
     if model_hook is not None:
         model_hook(model)

@@ -39,5 +39,4 @@ def dtype_code_offset(ckpt):
     """Byte offset of the first tensor's dtype code in the file ``ckpt`` saves to
     (layout in ``s2moe.checkpoint``)."""
     offset = 8 + 4 + 4 + len(ckpt.config_text.encode("utf-8")) + 8 + 4
-    offset += sum(2 + len(name.encode("utf-8")) + 16 for name, _, _ in ckpt.rng_states)
     return offset + 4 + 2 + len(ckpt.tensors[0][0].encode("utf-8"))

@@ -1,5 +1,7 @@
 """CLI surface tests: subcommands, exit codes, printed reports."""
 
+import math
+import os
 import re
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from s2moe.checkpoint import load_checkpoint, save_checkpoint
 from s2moe.cli import cli
 from s2moe.model import ModelConfig
 from s2moe.routing import VARIANTS
-from s2moe.train import metrics_equal
+from s2moe.train import metrics_equal, parse_metrics, train
 
 from conftest import dtype_code_offset, tiny_run_config
 
@@ -69,6 +71,16 @@ class TestMalformedConfig:
         assert cli(["flops", "--config", str(path), "--k", "1"]) == 1
         assert "usage error: d_model 256 not divisible by n_heads 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("batch_size", 0), ("eval_interval", 0),
+                                            ("ckpt_interval", 0), ("steps", -3)])
+    def test_run_loop_value_below_minimum_is_usage_error(self, key, value, tiny_config_file, capsys):
+        path, cfg = tiny_config_file("bad", **{key: value})
+        assert cli(["train", "--config", path]) == 1
+        assert f"usage error: {key} = {value} must be at least" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"^{key} = {value} must be at least"):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+
     def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
         assert cli(["flops", "--config", str(tmp_path / "absent.cfg"), "--k", "1"]) == 2
         assert "absent.cfg" in capsys.readouterr().err
@@ -121,6 +133,16 @@ class TestTrainEval:
         out = capsys.readouterr().out
         assert "ppl = inf\n" in out
         assert float(re.search(r"bpc = (\S+)", out).group(1)) > 710 / np.log(2)
+
+    def test_router_with_zero_probabilities_logs_and_evaluates(self, tiny_config_file, capsys):
+        # lr = 10 drives the f32 router to probabilities of exactly 0
+        path, cfg = tiny_config_file("rzero", steps=4, lr=10.0, eval_interval=1)
+        assert cli(["train", "--config", path]) == 0
+        rows = parse_metrics(cfg.out_dir + "/metrics.csv")
+        assert len(rows) == 4 and all(math.isfinite(r.router_entropy) for r in rows)
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", cfg.out_dir + "/ckpt-final.bin", "--k", "2", "--split", "val"]) == 0
+        assert math.isfinite(float(re.search(r"router_entropy_nats = (\S+)", capsys.readouterr().out).group(1)))
 
     def test_eval_of_checkpoint_with_unknown_dtype_code_is_runtime_error(self, tiny_config_file, capsys):
         path, cfg = tiny_config_file("rdtype", steps=1)

@@ -11,9 +11,11 @@ from s2moe.diagnostics import (
     format_flops_report,
     gini,
     jacobian_probe,
+    routing_stats,
 )
 from s2moe.model import LanguageModel, ModelConfig
-from s2moe.moe import S2MoeLayer, SmoeLayer
+from s2moe.moe import MoeAux, S2MoeLayer, SmoeLayer
+from s2moe.routing import RouterDecision
 from s2moe.stochastic import RngStream, compute_batch_stats
 from s2moe.tensor import Tensor
 
@@ -152,6 +154,14 @@ class TestCollapseMetrics:
         rep = collapse_metrics(model, tokens, 2)
         assert rep.expert_load.sum() == pytest.approx(1.0)
         assert 0.0 <= rep.load_gini <= 1.0
+
+
+def test_routing_stats_takes_0_log_0_as_0_at_f32():
+    probs = Tensor(np.array([[[0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]], dtype=np.float32))
+    decision = RouterDecision(probs=probs, indices=np.array([[[0, 1], [0, 1]]]), gates=probs, k_used=2)
+    entropy, load = routing_stats([MoeAux(decision=decision)], 4)
+    assert entropy == pytest.approx(math.log(2) / 2)
+    assert load.tolist() == [2, 2, 0, 0]
 
 
 class TestFlops:

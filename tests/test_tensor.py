@@ -68,6 +68,7 @@ class TestForwardDefinitions:
             matmul(t64(np.ones(left)), t64(np.ones(3)))
         assert str(left) in str(err.value) and "(3,)" in str(err.value)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_guard(self):
         with pytest.raises(NonFiniteError) as err:
             div(t64([1.0], rg=True), t64([0.0]))
@@ -175,6 +176,7 @@ class TestGradCheck:
 
         assert grad_check(f, t64(point)) < 1e-4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_perturbation_names_coordinate(self):
         def f(x):
             return tsum(power(x, 0.5))
