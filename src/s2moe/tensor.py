@@ -395,16 +395,31 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with numpy's broadcasting rules.
+
+    A (..., K) @ (K, N) product runs as one full-height (rows, K) @ (K, N)
+    GEMM, forward and input gradient. Its weight gradient stays one product
+    per leading index, summed afterwards, so no product reduces over more
+    than one sequence's tokens.
+    """
     if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or the right operand is 1-D")
-    out = _gemm(a.data, b.data)
     a_data, b_data = a.data, b.data
+    flat = a_data.ndim > 2 and b_data.ndim == 2
+    rows = int(np.prod(a.shape[:-1]))
+    if flat:
+        out = _gemm(a_data.reshape(rows, a.shape[-1]), b_data).reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        out = _gemm(a_data, b_data)
 
     def bw(g):
         if a_data.ndim == 1:
             # (n,) @ (n, m) -> (m,)
             return [g @ b_data.T, np.outer(a_data, g)]
-        ga = g @ np.swapaxes(b_data, -1, -2)
+        if flat:
+            ga = (g.reshape(rows, g.shape[-1]) @ b_data.T).reshape(a_data.shape)
+        else:
+            ga = g @ np.swapaxes(b_data, -1, -2)
         gb = np.swapaxes(a_data, -1, -2) @ g
         return [_unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)]
 
@@ -507,9 +522,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     def merge(a):  # (B, h, T, dh) -> (B, T, d)
         return a.transpose(0, 2, 1, 3).reshape(b, t, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    qh, vh = split(q.data), split(v.data)
+    kt = np.ascontiguousarray(k.data.reshape(b, t, h, dh).transpose(0, 2, 3, 1))  # (B, h, dh, T)
     scale = q.dtype.type(1.0 / np.sqrt(dh))
-    p = qh @ kh.transpose(0, 1, 3, 2)
+    p = qh @ kt
     p *= scale
     p += _causal_mask(t, q.dtype)
     p -= p.max(axis=-1, keepdims=True)
@@ -518,14 +534,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     out = merge(p @ vh)
 
     def bw(g):
-        gh = g.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-        gp = gh @ vh.transpose(0, 1, 3, 2)
+        gh = split(g)
+        gp = gh @ np.ascontiguousarray(vh.transpose(0, 1, 3, 2))
         gv = p.transpose(0, 1, 3, 2) @ gh
         # softmax backward from the saved output, then the scale
         gp -= (gp * p).sum(axis=-1, keepdims=True)
         gp *= p
         gp *= scale
-        gq = gp @ kh
+        gq = gp @ np.ascontiguousarray(kt.transpose(0, 1, 3, 2))
         gk = (qh.transpose(0, 1, 3, 2) @ gp).transpose(0, 1, 3, 2)
         return [merge(gq), merge(gk), merge(gv)]
 

@@ -247,6 +247,9 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     checkpoint restore), e.g. to pin gates or disable the noise branch.
     """
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
+    pairs = pair_count(corpus.train, cfg.seq_len)
+    if pairs == 0:
+        raise ValueError("corpus train split shorter than one sequence")
     model = build_model(cfg, corpus)
     adam = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam)
 
@@ -268,13 +271,13 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     kept = []
     if resume_from is not None and os.path.exists(metrics_path):
         kept = [r.to_line() for r in parse_metrics(metrics_path) if r.step < start_step]
-    metrics_file = open(metrics_path, "w", encoding="utf-8")
-    metrics_file.write("".join(line + "\n" for line in [METRICS_HEADER] + kept))
+    # the header and kept rows replace the old file whole, so a kill never leaves it cut short
+    with open(metrics_path + ".tmp", "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in [METRICS_HEADER] + kept))
+    os.replace(metrics_path + ".tmp", metrics_path)
+    metrics_file = open(metrics_path, "a", encoding="utf-8")
 
     rows: list[MetricsRow] = []
-    pairs = pair_count(corpus.train, cfg.seq_len)
-    if pairs == 0:
-        raise ValueError("corpus train split shorter than one sequence")
     base = cfg.seed << 8
     n_experts = cfg.n_experts
     t0 = time.monotonic()

@@ -6,6 +6,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -391,6 +393,36 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"at step 6, past the run's steps = 4"):
             train(shorter, resume_from=os.path.join(cfg.out_dir, "ckpt-0000006.bin"))
         assert not os.path.exists(shorter.out_dir)
+
+    def test_short_corpus_refused_before_out_dir(self, tmp_path):
+        corpus = tmp_path / "short.txt"
+        corpus.write_bytes(b"abcdefghij")
+        cfg = tiny_run_config(str(corpus), tmp_path / "run")
+        with pytest.raises(ValueError, match=r"^corpus train split shorter than one sequence$"):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+
+    def test_resume_killed_in_first_step_keeps_earlier_rows(self, small_corpus, tmp_path):
+        """A process killed during the first resumed step leaves ``metrics.csv``
+        holding the header and the rows before the resume step."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run")
+        written = open(train(cfg).metrics_path).read().splitlines()
+        code = ("import importlib, os, sys\n"
+                "from s2moe.checkpoint import load_checkpoint\n"
+                "from s2moe.config import parse_config_text\n"
+                "train_module = importlib.import_module('s2moe.train')\n"
+                "train_module.make_batch = lambda *args: os._exit(3)\n"
+                "cfg = parse_config_text(load_checkpoint(sys.argv[1]).config_text)\n"
+                "train_module.train(cfg, resume_from=sys.argv[1])\n")
+        src = os.path.dirname(os.path.dirname(importlib.import_module("s2moe").__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, os.path.join(cfg.out_dir, "ckpt-0000003.bin")],
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 3, proc.stderr.decode()
+        lines = open(os.path.join(cfg.out_dir, "metrics.csv")).read().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [0, 2]
+        assert lines == written[:3]
+        assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv.tmp"))
 
     def test_load_run_reads_back_a_corpus_path_with_hash(self, small_corpus, tmp_path):
         corpus = tmp_path / "run#1" / "corpus.txt"

@@ -210,6 +210,16 @@ def test_primitive_gradients_match_finite_differences(seed):
     b1 = [Tensor(ex_rng.standard_normal(3) * 0.1, dtype=F64) for _ in range(4)]
     w2 = [Tensor(ex_rng.standard_normal((3, d)), dtype=F64) for _ in range(4)]
     b2 = [Tensor(ex_rng.standard_normal(d) * 0.1, dtype=F64) for _ in range(4)]
+    mm_rng = np.random.default_rng(2000 + seed)
+    cells = mm_rng.integers(0, 3 * d, size=44)
+    c4 = Tensor(mm_rng.standard_normal((2, 3, 5)), dtype=F64)
+
+    def batched_matmul(x):
+        # a (2, 3, 4) @ (4, 5) product, both operands drawn from x's entries
+        flat = reshape(x, (3 * d, 1))
+        a = reshape(gather_rows(flat, cells[:24]), (2, 3, 4))
+        b = reshape(gather_rows(flat, cells[24:]), (4, 5))
+        return tsum(mul(matmul(a, b), c4))
 
     def attention(x):
         q, k, v = (reshape(a, (1, 3, d)) for a in (x, mul(x, c1), x * 0.5 + c2))
@@ -222,6 +232,7 @@ def test_primitive_gradients_match_finite_differences(seed):
 
     cases = {
         "matmul": lambda x: tsum(matmul(x, Tensor(w, dtype=F64))),
+        "matmul (2, 3, 4) @ (4, 5)": batched_matmul,
         "add/mul": lambda x: tsum(mul(x + 0.5, x * 1.5 - 0.25)),
         "div": lambda x: tsum(div(x, x * x + 2.0)),
         "sigmoid": lambda x: tsum(sigmoid(x)),
@@ -244,6 +255,28 @@ def test_primitive_gradients_match_finite_differences(seed):
     for name, f in cases.items():
         err = grad_check(f, point, epsilon=1e-5)
         assert err < 1e-4, f"{name}: rel err {err}"
+
+
+@pytest.mark.parametrize("n", [1, 8, 257])
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed-view"])
+def test_matmul_by_2d_matches_per_sequence_products(n, transposed):
+    """A (B, T, K) @ (K, N) product runs as one (B*T, K) GEMM: its output and
+    input gradient match one product per sequence to 1e-12 relative, and its
+    weight gradient is exactly the per-sequence products summed over B."""
+    rng = np.random.default_rng(n)
+    a0 = rng.standard_normal((3, 40, 24))
+    w0 = rng.standard_normal((n, 24)).T if transposed else rng.standard_normal((24, n))
+    g = rng.standard_normal((3, 40, n))
+    a, w = Tensor(a0, requires_grad=True), Tensor(w0, requires_grad=True)
+    with Tape():
+        out = matmul(a, w)
+        backward(tsum(mul(out, Tensor(g))))
+
+    for got, want in ((out.data, np.stack([s @ w0 for s in a0])),
+                      (a.grad, np.stack([s @ w0.T for s in g]))):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(w.grad, (np.swapaxes(a0, -1, -2) @ g).sum(axis=0))
 
 
 @pytest.mark.parametrize("seed", range(100))
