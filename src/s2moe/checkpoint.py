@@ -14,12 +14,17 @@ Layout:
 
 Saving the result of a load reproduces the file byte for byte (less an
 older file's rng states), and a save replaces the file at its path atomically.
+Neither side holds the file in memory: a save writes each header and then the
+tensor's own buffer, and a load reads each payload once into a new array and
+seeks past the tensors its caller did not ask for.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,81 +40,88 @@ _CODE_FOR = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 class Checkpoint:
     config_text: str
     step: int
-    tensors: list[tuple[str, np.ndarray]]           # insertion order preserved
+    tensors: list[tuple[str, np.ndarray]]           # file order preserved
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
+    """Write ``ckpt`` to ``path``, streaming each tensor's own buffer after its header."""
     config_bytes = ckpt.config_text.encode("utf-8")
-    parts.append(struct.pack("<I", len(config_bytes)))
-    parts.append(config_bytes)
-    parts.append(struct.pack("<Q", ckpt.step))
-    parts.append(struct.pack("<I", 0))  # no rng states
-
-    parts.append(struct.pack("<I", len(ckpt.tensors)))
-    for name, arr in ckpt.tensors:
-        nb = name.encode("utf-8")
-        code = _CODE_FOR[np.dtype(arr.dtype)]
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<BB", code, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
-
     # write beside the target and rename over it: a failed write leaves the
     # previous file at ``path`` untouched
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(b"".join(parts))
+            fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
+                     + struct.pack("<QII", ckpt.step, 0, len(ckpt.tensors)))  # no rng states
+            for name, arr in ckpt.tensors:
+                nb = name.encode("utf-8")
+                code = _CODE_FOR[np.dtype(arr.dtype)]
+                fh.write(struct.pack("<H", len(nb)) + nb
+                         + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
+                # a 0-d array comes back 1-d here; the header above keeps its own shape
+                fh.write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])).cast("B"))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def load_checkpoint(path: str, names: Collection[str] | None = None) -> Checkpoint:
+    """Read ``path`` front to back, each kept payload straight into its own array.
+
+    With ``names``, only those tensors are kept; every other payload is
+    skipped by a seek, after the same bounds check a kept one gets.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 0
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n):
-        nonlocal off
-        chunk = blob[off: off + n]
-        if len(chunk) != n:
-            raise ValueError(f"checkpoint '{path}' truncated at offset {off}")
-        off += n
-        return chunk
+        def truncated(at):
+            return ValueError(f"checkpoint '{path}' truncated at offset {at}")
 
-    if take(8) != MAGIC:
-        raise ValueError(f"'{path}' is not a checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", take(4))
-    if version != VERSION:
-        raise ValueError(f"checkpoint version {version} not supported (want {VERSION})")
-    (clen,) = struct.unpack("<I", take(4))
-    config_text = take(clen).decode("utf-8")
-    (step,) = struct.unpack("<Q", take(8))
+        def take(n):
+            at = fh.tell()
+            chunk = fh.read(n)
+            if len(chunk) != n:
+                raise truncated(at)
+            return chunk
 
-    (n_rng,) = struct.unpack("<I", take(4))
-    for _ in range(n_rng):
-        (nlen,) = struct.unpack("<H", take(2))
-        take(nlen + 16)
+        if take(8) != MAGIC:
+            raise ValueError(f"'{path}' is not a checkpoint (bad magic)")
+        (version,) = struct.unpack("<I", take(4))
+        if version != VERSION:
+            raise ValueError(f"checkpoint version {version} not supported (want {VERSION})")
+        (clen,) = struct.unpack("<I", take(4))
+        config_text = take(clen).decode("utf-8")
+        (step,) = struct.unpack("<Q", take(8))
 
-    (n_tensors,) = struct.unpack("<I", take(4))
-    tensors = []
-    for _ in range(n_tensors):
-        (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
-        code, ndim = struct.unpack("<BB", take(2))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        if code not in _DTYPE_CODES:
-            raise ValueError(f"checkpoint '{path}' tensor '{name}' has unknown dtype code {code}")
-        dtype = _DTYPE_CODES[code]
-        count = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
-        tensors.append((name, arr.copy()))
-    if off != len(blob):
-        raise ValueError(f"checkpoint '{path}' has {len(blob) - off} trailing bytes")
+        (n_rng,) = struct.unpack("<I", take(4))
+        for _ in range(n_rng):
+            (nlen,) = struct.unpack("<H", take(2))
+            take(nlen + 16)
+
+        (n_tensors,) = struct.unpack("<I", take(4))
+        tensors = []
+        for _ in range(n_tensors):
+            (nlen,) = struct.unpack("<H", take(2))
+            name = take(nlen).decode("utf-8")
+            code, ndim = struct.unpack("<BB", take(2))
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            if code not in _DTYPE_CODES:
+                raise ValueError(f"checkpoint '{path}' tensor '{name}' has unknown dtype code {code}")
+            dtype = _DTYPE_CODES[code]
+            at = fh.tell()
+            nbytes = math.prod(shape) * dtype.itemsize
+            if at + nbytes > size:
+                raise truncated(at)
+            if names is None or name in names:
+                arr = np.empty(shape, dtype=dtype)
+                if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                    raise truncated(at)
+                tensors.append((name, arr))
+            else:
+                fh.seek(nbytes, os.SEEK_CUR)
+        if fh.tell() != size:
+            raise ValueError(f"checkpoint '{path}' has {size - fh.tell()} trailing bytes")
     return Checkpoint(config_text=config_text, step=step, tensors=tensors)
 
 

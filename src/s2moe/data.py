@@ -15,6 +15,8 @@ import numpy as np
 
 @dataclass
 class Corpus:
+    """A tokenized corpus; the three splits are int32 token-id arrays."""
+
     vocab_bytes: list[int]        # byte value per id, unknown id excluded
     unk_id: int
     train: np.ndarray
@@ -41,13 +43,15 @@ def ingest_corpus(path: str, splits=(0.9, 0.05, 0.05)) -> Corpus:
     data = np.frombuffer(raw, dtype=np.uint8)
     train_bytes, val_bytes, test_bytes = data[:b1], data[b1:b2], data[b2:]
 
-    vocab = sorted(set(train_bytes.tolist()))
+    # a mask, not np.bincount: bincount casts the split to intp, a temporary 8x its size
+    seen = np.zeros(256, dtype=bool)
+    seen[train_bytes] = True
+    vocab = np.flatnonzero(seen)
     unk_id = len(vocab)
-    table = np.full(256, unk_id, dtype=np.int64)
-    for i, byte in enumerate(vocab):
-        table[byte] = i
+    table = np.full(256, unk_id, dtype=np.int32)
+    table[vocab] = np.arange(unk_id, dtype=np.int32)
     return Corpus(
-        vocab_bytes=vocab,
+        vocab_bytes=vocab.tolist(),
         unk_id=unk_id,
         train=table[train_bytes],
         val=table[val_bytes],

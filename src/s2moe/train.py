@@ -230,12 +230,16 @@ def _check_resume_config(cfg: RunConfig, echoed: RunConfig) -> None:
 
 
 def load_run(ckpt_path: str) -> tuple[RunConfig, Corpus, LanguageModel]:
-    """Rebuild a run from its checkpoint: config echo, corpus, and the restored model."""
-    ck = load_checkpoint(ckpt_path)
-    cfg = parse_config_text(ck.config_text)
+    """Rebuild a run from its checkpoint: config echo, corpus, and the restored model.
+
+    The first read keeps no tensor, only the config the model is built from;
+    the second reads the model's parameters and skips the Adam moments.
+    """
+    cfg = parse_config_text(load_checkpoint(ckpt_path, names=()).config_text)
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
     model = build_model(cfg, corpus)
-    apply_tensors(model.parameters(), ck)
+    params = model.parameters()
+    apply_tensors(params, load_checkpoint(ckpt_path, names={name for name, _ in params}))
     return cfg, corpus, model
 
 
@@ -255,12 +259,13 @@ def train(cfg: RunConfig, resume_from: str | None = None,
 
     start_step = 0
     if resume_from is not None:
-        ck = load_checkpoint(resume_from)
+        state = model.parameters() + adam.state()
+        ck = load_checkpoint(resume_from, names={name for name, _ in state})
         _check_resume_config(cfg, parse_config_text(ck.config_text))
         if ck.step > cfg.steps:
             raise ValueError(f"checkpoint '{resume_from}' is at step {ck.step}, "
                              f"past the run's steps = {cfg.steps}")
-        apply_tensors(model.parameters() + adam.state(), ck)
+        apply_tensors(state, ck)
         start_step = ck.step
     if model_hook is not None:
         model_hook(model)

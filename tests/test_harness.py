@@ -8,6 +8,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def _router_bytes(out_dir, steps) -> list[bytes]:
     return [dict(load_checkpoint(p).tensors)["layer0.moe.router.w_e"].tobytes() for p in paths]
 
 
+def _traced_peak(fn):
+    """``fn()`` and the peak of memory allocated while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestIngest:
     def test_abab_enumeration(self, tmp_path):
         path = tmp_path / "abab.txt"
@@ -92,6 +103,30 @@ class TestIngest:
         corpus = ingest_corpus(str(path), splits=(0.8, 0.2, 0.0))
         assert corpus.vocab_bytes == [ord("a")]
         assert corpus.val.tolist() == [0, corpus.unk_id]
+
+    def test_vocabulary_and_ids_match_a_set_and_int64_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        train_part = rng.choice(np.frombuffer(b"etaoin shrdlu,.", dtype=np.uint8), 900)
+        later = rng.integers(0, 256, 100, dtype=np.uint8)  # most of these bytes train lacks
+        path = tmp_path / "mix.bin"
+        path.write_bytes(train_part.tobytes() + later.tobytes())
+        corpus = ingest_corpus(str(path))
+
+        vocab = sorted(set(train_part.tolist()))
+        assert corpus.vocab_bytes == vocab and corpus.unk_id == len(vocab)
+        table = np.full(256, len(vocab), dtype=np.int64)
+        table[vocab] = np.arange(len(vocab))
+        for split, part in ((corpus.train, train_part), (corpus.val, later[:50]), (corpus.test, later[50:])):
+            assert split.dtype == np.int32
+            np.testing.assert_array_equal(split, table[part])
+        assert (corpus.val == corpus.unk_id).any() and (corpus.test == corpus.unk_id).any()
+
+    def test_ingest_holds_the_file_and_the_ids_only(self, tmp_path):
+        path = tmp_path / "mb.bin"
+        path.write_bytes(bytes(range(256)) * 4096)
+        n = os.path.getsize(path)
+        _, peak = _traced_peak(lambda: ingest_corpus(str(path)))
+        assert peak <= 1.1 * (n + 4 * n)  # the bytes read, then one int32 id per byte
 
     def test_bad_splits_rejected(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -262,6 +297,69 @@ class TestCheckpoint:
             apply_tensors([("w", Tensor(np.zeros((3, 4)))), ("absent", Tensor(np.zeros(2)))],
                           load_checkpoint(path))
 
+    def make_large(self, tmp_path):
+        """A few-MB checkpoint of several tensors, a 0-d one among them."""
+        rng = np.random.default_rng(1)
+        tensors = [("a", rng.standard_normal((256, 1024)).astype(np.float32)),
+                   ("b", rng.standard_normal((128, 512))),
+                   ("tau", np.asarray(0.07, dtype=np.float32)),
+                   ("c", rng.standard_normal((512, 512)).astype(np.float32)),
+                   ("d", rng.standard_normal(4096))]
+        ck = Checkpoint(config_text=preset("desk").to_text(), step=3, tensors=tensors)
+        path = str(tmp_path / "large.bin")
+        save_checkpoint(path, ck)
+        return path, ck
+
+    def test_save_allocates_no_payload_sized_buffer(self, tmp_path):
+        path, ck = self.make_large(tmp_path)
+        payload = sum(a.nbytes for _, a in ck.tensors)
+        _, peak = _traced_peak(lambda: save_checkpoint(path, ck))
+        assert peak < 0.1 * payload
+
+    def test_load_reads_each_payload_once(self, tmp_path):
+        path, ck = self.make_large(tmp_path)
+        payload = sum(a.nbytes for _, a in ck.tensors)
+        loaded, peak = _traced_peak(lambda: load_checkpoint(path))
+        assert peak <= 1.1 * payload
+        assert [(n, a.shape, a.dtype, a.tobytes()) for n, a in loaded.tensors] == \
+            [(n, a.shape, a.dtype, a.tobytes()) for n, a in ck.tensors]
+
+    def test_load_keeps_only_the_named_tensors(self, tmp_path):
+        path, ck = self.make_large(tmp_path)
+        wanted = {"tau", "b", "d"}
+        loaded, peak = _traced_peak(lambda: load_checkpoint(path, names=wanted))
+        kept = [(n, a) for n, a in ck.tensors if n in wanted]
+        assert peak <= 1.1 * sum(a.nbytes for _, a in kept)
+        assert (loaded.config_text, loaded.step) == (ck.config_text, ck.step)
+        assert [(n, a.shape, a.dtype, a.tobytes()) for n, a in loaded.tensors] == \
+            [(n, a.shape, a.dtype, a.tobytes()) for n, a in kept]
+        assert load_checkpoint(path, names=()).tensors == []
+
+    def test_skipped_tensor_still_checked(self, tmp_path):
+        path, ck = self.make_large(tmp_path)
+        blob = open(path, "rb").read()
+        d_bytes = ck.tensors[-1][1].nbytes
+        cut, longer = tmp_path / "cut.bin", tmp_path / "longer.bin"
+        cut.write_bytes(blob[:-d_bytes // 2])  # ends inside d's payload
+        longer.write_bytes(blob + b"\0\0")
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(str(cut))}' truncated at offset \d+$"):
+            load_checkpoint(str(cut), names={"a"})
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(str(longer))}' has 2 trailing bytes$"):
+            load_checkpoint(str(longer), names={"a"})
+
+    def test_load_run_reads_only_the_parameters(self, small_corpus, tmp_path, monkeypatch):
+        ckpt = train(tiny_run_config(small_corpus, tmp_path / "run", steps=2)).final_checkpoint
+        kept, real = [], train_module.load_checkpoint
+
+        def spy(path, names=None):
+            ck = real(path, names)
+            kept.append([name for name, _ in ck.tensors])
+            return ck
+
+        monkeypatch.setattr(train_module, "load_checkpoint", spy)
+        _, _, model = load_run(ckpt)
+        assert kept == [[], [name for name, _ in model.parameters()]]
+        assert any(name.startswith("adam.") for name, _ in load_checkpoint(ckpt).tensors)
 
     def test_older_rng_states_are_read_and_dropped(self, tmp_path):
         path, ck = self.make(tmp_path)
