@@ -1,9 +1,10 @@
 # The two-path stochastic MoE layer
 # ---------------------------------
-# In training, the layer routes the clean input and a Gaussian-perturbed copy
-# independently, then blends the two expert mixtures with a learned per-token
-# gate in (0, 1). At eval only the clean path runs, so inference cost equals
-# the plain sparse layer.
+# Given a random stream (training), the layer routes the clean input and a
+# Gaussian-perturbed copy independently, then blends the two expert mixtures
+# with a learned per-token gate in (0, 1). Without a stream (eval) only the
+# clean path runs and nothing is drawn, so inference cost equals the plain
+# sparse layer.
 
 import numpy as np
 
@@ -23,15 +24,15 @@ print("sigma[:4]:", np.round(stats.sigma[:4], 3))
 x_hat = perturb(x, stats, RngStream(42))
 print("mean |x_hat - x|:", float(np.mean(np.abs(x_hat.data - x.data))))
 
-# Train mode: both paths, blended; the aux carries both routing decisions and
-# the pooled pair the uncertainty loss consumes.
-y_train, aux = layer.forward(x, k=2, train=True, rng=RngStream(7))
+# With a stream: both paths, blended; the aux carries both routing decisions
+# and the pooled pair the uncertainty loss consumes.
+y_train, aux = layer.forward(x, k=2, rng=RngStream(7))
 clean = {tuple(sorted(r)) for r in aux.decision.indices.reshape(-1, 2).tolist()}
 noisy = {tuple(sorted(r)) for r in aux.decision_noisy.indices.reshape(-1, 2).tolist()}
 print("expert sets differ between paths:", clean != noisy)
 print("pooled pair shapes:", aux.pooled_clean.shape, aux.pooled_noisy.shape)
 
-# Eval mode: single path, one routing decision, half the expert evaluations.
+# Without a stream: single path, one routing decision, half the expert evaluations.
 layer.experts.invocations = 0
-y_eval, _ = layer.forward(x, k=2, train=False)
+y_eval, _ = layer.forward(x, k=2)
 print("eval token-expert evaluations:", layer.experts.invocations, "(one path)")

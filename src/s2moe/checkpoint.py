@@ -50,6 +50,8 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     # previous file at ``path`` untouched
     tmp = f"{path}.tmp"
     try:
+        if os.path.lexists(tmp):  # a killed run's leftover may be a hard link to another checkpoint
+            os.remove(tmp)
         with open(tmp, "wb") as fh:
             fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
                      + struct.pack("<QII", ckpt.step, 0, len(ckpt.tensors)))  # no rng states

@@ -20,8 +20,6 @@ class ExpertBank:
 
     def __init__(self, n_experts: int, d_model: int, d_expert: int, rng, dtype=np.float32):
         self.n_experts = n_experts
-        self.d_model = d_model
-        self.d_expert = d_expert
         s1 = 1.0 / np.sqrt(d_model)
         s2 = 1.0 / np.sqrt(d_expert)
         self.w1 = [Tensor(rng.normal((d_model, d_expert), scale=s1).astype(dtype), requires_grad=True)
@@ -49,14 +47,9 @@ def moe_combine(x: Tensor, decision: RouterDecision, bank: ExpertBank) -> Tensor
     """Weighted sum of selected expert outputs per token (B, T, d).
 
     Unselected experts are never evaluated. Gates enter multiplicatively, so
-    the router gradient flows through the kept probabilities.
+    the router gradient flows through the kept probabilities. ``expert_ffn``
+    refuses gates or indices that do not match x and the bank.
     """
-    b, t, d = x.shape
-    n = bank.n_experts
-    if decision.gates.shape != (b, t, n):
-        raise ValueError(f"gates shape {decision.gates.shape} inconsistent with x {x.shape} and N={n}")
-    if decision.indices.max(initial=0) >= n or decision.indices.min(initial=0) < 0:
-        raise ValueError(f"decision indices exceed N={n}")
-
-    bank.invocations += int(decision.indices.size)
-    return expert_ffn(x, decision.gates, decision.indices, bank.w1, bank.b1, bank.w2, bank.b2)
+    y = expert_ffn(x, decision.gates, decision.indices, bank.w1, bank.b1, bank.w2, bank.b2)
+    bank.invocations += int(decision.indices.size)  # after the op, which refuses a bad decision
+    return y

@@ -100,7 +100,6 @@ class DecoderBlock:
                                  frozen_seed=base + 144 + layer_idx,
                                  rng_router=rng_router)
         self.dropout = cfg.dropout
-        self.is_stochastic = cfg.variant == "s2moe"
 
     def parameters(self):
         named = [(f"attn.{n}", t) for n, t in self.attn.parameters()]
@@ -109,15 +108,12 @@ class DecoderBlock:
         named += [(f"moe.{n}", t) for n, t in self.moe.parameters()]
         return named
 
-    def forward(self, x: Tensor, k: int, train: bool, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
+    def forward(self, x: Tensor, k: int, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
         a = self.attn.forward(_affine_norm(x, self.ln1_g, self.ln1_b))
-        x = add(x, _dropout(a, self.dropout, train, rng))
+        x = add(x, _dropout(a, self.dropout, rng))
         h = _affine_norm(x, self.ln2_g, self.ln2_b)
-        if self.is_stochastic:
-            m, aux = self.moe.forward(h, k, train=train, rng=rng)
-        else:
-            m, aux = self.moe.forward(h, k, train=train)
-        x = add(x, _dropout(m, self.dropout, train, rng))
+        m, aux = self.moe.forward(h, k, rng)
+        x = add(x, _dropout(m, self.dropout, rng))
         return x, aux
 
 
@@ -125,9 +121,9 @@ def _affine_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
     return add(mul(layernorm(x), g), b)
 
 
-def _dropout(x: Tensor, p: float, train: bool, rng: RngStream | None) -> Tensor:
-    """Inverted dropout at rate p; the identity at eval or without a stream."""
-    if not train or p <= 0.0 or rng is None:
+def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
+    """Inverted dropout at rate p; the identity without a stream."""
+    if p <= 0.0 or rng is None:
         return x
     keep = 1.0 - p
     mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
@@ -163,7 +159,8 @@ class LanguageModel:
     def lm_forward(self, tokens: np.ndarray, mode: str = "train",
                    rng: RngStream | None = None, k: int | None = None) -> tuple[Tensor, list[MoeAux]]:
         """Logits (B, T, V) plus per-layer routing/pooled auxiliaries, routed at
-        k experts per token (default ``cfg.k_train`` in train mode, ``cfg.k_eval`` in eval)."""
+        k experts per token (default ``cfg.k_train`` in train mode, ``cfg.k_eval`` in eval).
+        Train mode draws dropout and noise from ``rng``, which it needs; eval draws nothing."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode '{mode}'")
         tokens = np.asarray(tokens)
@@ -175,15 +172,18 @@ class LanguageModel:
         if tokens.max(initial=0) >= self.cfg.vocab_size:
             raise ValueError("token id out of vocabulary")
         train = mode == "train"
+        if train and rng is None:
+            raise ValueError("a train-mode forward needs an RngStream")
         if k is None:
             k = self.cfg.k_train if train else self.cfg.k_eval
+        rng = rng if train else None
 
         x = add(gather_rows(self.embed, tokens), gather_rows(self.pos, np.arange(t)))
-        x = _dropout(x, self.cfg.dropout, train, rng)
+        x = _dropout(x, self.cfg.dropout, rng)
 
         auxes: list[MoeAux] = []
         for blk in self.blocks:
-            x, aux = blk.forward(x, k, train, rng)
+            x, aux = blk.forward(x, k, rng)
             auxes.append(aux)
         h = _affine_norm(x, self.lnf_g, self.lnf_b)
         logits = matmul(h, transpose(self.embed, (1, 0)))

@@ -3,8 +3,8 @@
 The stochastic layer routes the clean input and a noise-augmented copy
 independently, blends the two outputs with a learned per-token gate, and
 surfaces mean-pooled (clean, noisy) input pairs for the uncertainty loss.
-At eval time the noise branch is disabled and the layer is exactly the
-baseline sparse layer.
+A forward trains exactly when it is given a random stream; without one the
+stochastic layer is exactly the baseline sparse layer and draws nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ class SmoeLayer:
         named += self.experts.parameters()
         return named
 
-    def forward(self, x: Tensor, k: int, train: bool = True) -> tuple[Tensor, MoeAux]:
+    def forward(self, x: Tensor, k: int, rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
+        """One routed path; it draws nothing, so ``rng`` goes unused."""
         decision = route(x, self.router, k)
         return moe_combine(x, decision, self.experts), MoeAux(decision=decision, moe_input=x.data)
 
@@ -72,19 +73,12 @@ class S2MoeLayer(SmoeLayer):
     def parameters(self) -> list[tuple[str, Tensor]]:
         return super().parameters() + self.blend.parameters()
 
-    def forward(self, x: Tensor, k: int, train: bool = True,
-                rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
-        """Train: g(x) * f(x) + (1 - g(x)) * f(x_hat). Eval: exactly f(x)."""
-        if not train:
-            return super().forward(x, k, train=False)
-        if self.noise_enabled:
-            if rng is None:
-                raise ValueError("train-mode stochastic forward needs an RngStream")
-            stats = compute_batch_stats(x)
-            x_hat = perturb(x, stats, rng)
-        else:
-            x_hat = x
-        y_clean, aux = super().forward(x, k, train=True)
+    def forward(self, x: Tensor, k: int, rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
+        """With a stream: g(x) * f(x) + (1 - g(x)) * f(x_hat). Without: exactly f(x)."""
+        if rng is None:
+            return super().forward(x, k)
+        x_hat = perturb(x, compute_batch_stats(x), rng) if self.noise_enabled else x
+        y_clean, aux = super().forward(x, k)
         decision_noisy = route(x_hat, self.router, k)
         y_noisy = moe_combine(x_hat, decision_noisy, self.experts)
         y = self.mix(x, y_clean, y_noisy)

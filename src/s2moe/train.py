@@ -332,7 +332,13 @@ def train(cfg: RunConfig, resume_from: str | None = None,
         metrics_file.close()
 
     final = os.path.join(cfg.out_dir, "ckpt-final.bin")
-    _save_state(final, cfg, model, adam, cfg.steps)
+    if start_step < cfg.steps:  # the last step saved this state as ckpt-<steps>.bin: link it
+        if os.path.lexists(final + ".tmp"):  # left by a killed run
+            os.remove(final + ".tmp")
+        os.link(last_ckpt, final + ".tmp")
+        os.replace(final + ".tmp", final)
+    else:
+        _save_state(final, cfg, model, adam, cfg.steps)
     return TrainResult(final_checkpoint=final, metrics_path=metrics_path, rows=rows, corpus=corpus)
 
 
@@ -356,8 +362,6 @@ def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
     tokens = {"train": corpus.train, "val": corpus.val, "test": corpus.test}.get(split)
     if tokens is None:
         raise ValueError(f"unknown split '{split}'")
-    if not 1 <= k <= cfg.n_experts:
-        raise ValueError(f"k={k} out of range [1, {cfg.n_experts}]")
     pairs = pair_count(tokens, cfg.seq_len)
     if pairs == 0:
         raise ValueError(f"split '{split}' shorter than one sequence")

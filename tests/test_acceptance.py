@@ -70,13 +70,13 @@ def test_criterion_1_reduction_equivalence():
 
         with Tape():
             x = Tensor(x_data, dtype=F64, requires_grad=True)
-            y2, _ = s2.forward(x, k=k, train=True, rng=RngStream(0))
+            y2, _ = s2.forward(x, k=k, rng=RngStream(0))
             backward(tsum(y2 * y2))
         grads_s2 = {name: (t.grad if t.grad is not None else 0.0) for name, t in s2.parameters()}
 
         with Tape():
             xb = Tensor(x_data, dtype=F64, requires_grad=True)
-            yb, _ = base.forward(xb, k=k, train=True)
+            yb, _ = base.forward(xb, k=k)
             backward(tsum(yb * yb))
 
         worst_fwd = max(worst_fwd, float(np.max(np.abs(y2.data - yb.data))))

@@ -6,7 +6,7 @@ import pytest
 from s2moe.experts import ExpertBank, moe_combine
 from s2moe.routing import RouterDecision, make_router, route
 from s2moe.stochastic import RngStream
-from s2moe.tensor import Tape, Tensor, backward, tsum
+from s2moe.tensor import ShapeError, Tape, Tensor, backward, tsum
 
 F64 = np.float64
 
@@ -99,7 +99,7 @@ class TestMoeCombine:
         x = np.random.default_rng(0).standard_normal((1, 2, 4))
         dec = make_decision(x, bk, k=2)
         bad = RouterDecision(probs=dec.probs, indices=dec.indices + 7, gates=dec.gates, k_used=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="expert index outside"):
             moe_combine(Tensor(x), bad, bk)
 
 

@@ -492,6 +492,43 @@ class TestTraining:
             train(shorter, resume_from=os.path.join(cfg.out_dir, "ckpt-0000006.bin"))
         assert not os.path.exists(shorter.out_dir)
 
+    def test_final_checkpoint_is_a_link_to_the_last_step(self, small_corpus, tmp_path):
+        result = train(tiny_run_config(small_corpus, tmp_path / "run"))
+        assert os.path.samefile(result.final_checkpoint, tmp_path / "run" / "ckpt-0000006.bin")
+        assert sorted(os.listdir(tmp_path / "run")) == [
+            "ckpt-0000003.bin", "ckpt-0000006.bin", "ckpt-final.bin", "metrics.csv"]
+
+    def test_second_run_into_same_dir_relinks_final(self, small_corpus, tmp_path):
+        last = tmp_path / "run" / "ckpt-0000006.bin"
+        train(tiny_run_config(small_corpus, tmp_path / "run", seed=3))
+        first = last.read_bytes()
+        result = train(tiny_run_config(small_corpus, tmp_path / "run", seed=4))
+        assert os.path.samefile(result.final_checkpoint, last) and last.read_bytes() != first
+        assert not os.path.exists(result.final_checkpoint + ".tmp")
+
+    def test_resume_at_last_step_saves_final(self, small_corpus, tmp_path):
+        source = tmp_path / "run" / "ckpt-0000006.bin"
+        train(tiny_run_config(small_corpus, tmp_path / "run"))
+        result = train(tiny_run_config(small_corpus, tmp_path / "again"), resume_from=str(source))
+        assert not os.path.samefile(result.final_checkpoint, source)
+        saved, read = load_checkpoint(result.final_checkpoint), load_checkpoint(str(source))
+        assert saved.step == read.step == 6
+        assert [(n, t.tobytes()) for n, t in saved.tensors] == [(n, t.tobytes()) for n, t in read.tensors]
+
+    def test_leftover_final_tmp_is_never_written_through(self, small_corpus, tmp_path):
+        # a run killed between linking and renaming leaves ckpt-final.bin.tmp as a link
+        cfg = tiny_run_config(small_corpus, tmp_path / "run")
+        train(cfg)
+        third, tmp = tmp_path / "run" / "ckpt-0000003.bin", tmp_path / "run" / "ckpt-final.bin.tmp"
+        kept = third.read_bytes()
+        os.link(third, tmp)
+        train(cfg, resume_from=str(tmp_path / "run" / "ckpt-0000006.bin"))  # saves ckpt-final.bin
+        assert third.read_bytes() == kept and not tmp.exists()
+        os.link(third, tmp)
+        result = train(cfg, resume_from=str(third))  # links ckpt-final.bin
+        assert os.path.samefile(result.final_checkpoint, tmp_path / "run" / "ckpt-0000006.bin")
+        assert not tmp.exists()
+
     def test_short_corpus_refused_before_out_dir(self, tmp_path):
         corpus = tmp_path / "short.txt"
         corpus.write_bytes(b"abcdefghij")

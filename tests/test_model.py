@@ -113,6 +113,24 @@ class TestLmForward:
         with pytest.raises(ValueError):
             model.lm_forward(np.zeros((1, 3), dtype=int), mode="predict")
 
+    @pytest.mark.parametrize("variant", ["smoe", "s2moe"])
+    def test_train_mode_needs_a_stream(self, variant):
+        model = LanguageModel(tiny_cfg(variant=variant))
+        with pytest.raises(ValueError, match="RngStream"):
+            model.lm_forward(np.zeros((1, 3), dtype=int), mode="train")
+
+    @pytest.mark.parametrize("variant", ["smoe", "s2moe"])
+    def test_eval_draws_nothing_from_a_given_stream(self, variant):
+        model = LanguageModel(tiny_cfg(variant=variant, dropout=0.5))
+        tokens = np.random.default_rng(3).integers(0, 5, size=(2, 4))
+        rng = RngStream(5, counter=7)
+        with_stream, _ = model.lm_forward(tokens, mode="eval", rng=rng)
+        without, _ = model.lm_forward(tokens, mode="eval")
+        assert rng.counter == 7
+        assert with_stream.data.tobytes() == without.data.tobytes()
+        model.lm_forward(tokens, mode="train", rng=rng)
+        assert rng.counter > 7  # the same stream does draw in train mode
+
     def test_aux_carries_decisions_and_pools(self):
         model = LanguageModel(tiny_cfg(variant="s2moe"))
         tokens = np.random.default_rng(3).integers(0, 5, size=(2, 4))
@@ -193,7 +211,7 @@ def grad_check_param(model, param, tokens, targets, epsilon=1e-5):
     from s2moe.losses import task_loss
 
     with Tape():
-        logits, _ = model.lm_forward(tokens, mode="train")
+        logits, _ = model.lm_forward(tokens, mode="train", rng=RngStream(0))
         loss = task_loss(logits, targets)[0]
         backward(loss)
     analytic = param.grad.copy() if param.grad is not None else np.zeros_like(param.data)
@@ -206,7 +224,7 @@ def grad_check_param(model, param, tokens, targets, epsilon=1e-5):
         vals = []
         for sign in (+1.0, -1.0):
             flat[i] = orig + sign * epsilon
-            logits, _ = model.lm_forward(tokens, mode="train")
+            logits, _ = model.lm_forward(tokens, mode="train", rng=RngStream(0))
             vals.append(task_loss(logits, targets)[0].item())
         flat[i] = orig
         numeric[i] = (vals[0] - vals[1]) / (2 * epsilon)

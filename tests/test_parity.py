@@ -1,5 +1,5 @@
 """``tools/parity.py`` on one tree against itself, at a tiny size: every
-variant and precision is equal."""
+variant and precision, and the Jacobian reports, are equal."""
 
 import importlib.util
 import pathlib
@@ -15,10 +15,12 @@ def test_tree_against_itself_is_equal(monkeypatch, capsys):
     monkeypatch.setattr(parity, "RUN", dict(
         steps=2, seed=3, eval_interval=1, ckpt_interval=1, n_layers=1, d_model=32,
         n_heads=2, d_exp=16, n_experts=4, seq_len=32, batch_size=4))
+    monkeypatch.setattr(parity, "PROBES", 2)
     assert parity.main([str(ROOT), str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and lines[-1] == "parity: 10 of 10 runs equal"
-    assert all(": equal; max |tensor diff| 0" in line for line in lines[:-1])
+    assert len(lines) == 12 and lines[-1] == "parity: 10 of 10 runs equal"
+    assert all(": equal; max |tensor diff| 0" in line for line in lines[:-2])
+    assert lines[-2] == "jacobian: equal; max |array diff| 0"
 
 
 def test_refuses_a_path_without_source(tmp_path, capsys):

@@ -139,22 +139,22 @@ class TestS2MoeForward:
         s2.blend.w.data[:] = 0.0
         s2.blend.b.data[:] = 30.0
         x = Tensor(np.random.default_rng(4).standard_normal((2, 3, 6)), dtype=F64)
-        y2, _ = s2.forward(x, k=2, train=True, rng=RngStream(9))
-        yb, _ = base.forward(x, k=2, train=True)
+        y2, _ = s2.forward(x, k=2, rng=RngStream(9))
+        yb, _ = base.forward(x, k=2)
         assert np.max(np.abs(y2.data - yb.data)) < 1e-9
 
     def test_eval_mode_is_bitwise_baseline(self):
         s2, base = make_pair_layers(seed=5)
         x = Tensor(np.random.default_rng(6).standard_normal((2, 3, 6)), dtype=F64)
-        y2, _ = s2.forward(x, k=2, train=False)
-        yb, _ = base.forward(x, k=2, train=False)
+        y2, _ = s2.forward(x, k=2)
+        yb, _ = base.forward(x, k=2)
         assert y2.data.tobytes() == yb.data.tobytes()
 
     def test_constant_batch_matches_dense_two_path_oracle(self):
         s2, _ = make_pair_layers(seed=7)
         row = np.random.default_rng(8).standard_normal(6)
         x = Tensor(np.tile(row, (2, 3, 1)), dtype=F64)  # sigma = 0 per dimension
-        y, aux = s2.forward(x, k=2, train=True, rng=RngStream(10))
+        y, aux = s2.forward(x, k=2, rng=RngStream(10))
 
         # dense oracle in plain numpy: g*f(x) + (1-g)*f(x+mu)
         def dense_smoe(inp):
@@ -175,19 +175,14 @@ class TestS2MoeForward:
         expect = g * dense_smoe(x.data) + (1 - g) * dense_smoe(x.data + mu)
         np.testing.assert_allclose(y.data, expect, atol=1e-12)
 
-    def test_missing_rng_rejected_in_train_mode(self):
-        s2, _ = make_pair_layers()
-        with pytest.raises(ValueError):
-            s2.forward(Tensor(np.zeros((1, 2, 6))), k=2, train=True, rng=None)
-
     def test_eval_cost_is_single_path(self):
         s2, _ = make_pair_layers(seed=11)
         x = Tensor(np.random.default_rng(12).standard_normal((2, 4, 6)), dtype=F64)
         s2.experts.invocations = 0
-        s2.forward(x, k=2, train=False)
+        s2.forward(x, k=2)
         assert s2.experts.invocations == 2 * 4 * 2  # B*T*k, one path only
         s2.experts.invocations = 0
-        s2.forward(x, k=2, train=True, rng=RngStream(1))
+        s2.forward(x, k=2, rng=RngStream(1))
         assert s2.experts.invocations == 2 * (2 * 4 * 2)  # both paths in train mode
 
     def test_branches_route_independently(self):
@@ -195,7 +190,7 @@ class TestS2MoeForward:
         for seed in range(100):
             s2 = S2MoeLayer(8, 16, 4, RngStream(seed), dtype=F64)
             x = Tensor(np.random.default_rng(seed).standard_normal((1, 4, 8)), dtype=F64)
-            _, aux = s2.forward(x, k=2, train=True, rng=RngStream(seed + 1000))
+            _, aux = s2.forward(x, k=2, rng=RngStream(seed + 1000))
             clean = {tuple(sorted(r)) for r in aux.decision.indices.reshape(-1, 2).tolist()}
             noisy = {tuple(sorted(r)) for r in aux.decision_noisy.indices.reshape(-1, 2).tolist()}
             if clean != noisy:
@@ -205,7 +200,7 @@ class TestS2MoeForward:
     def test_pooled_pair_shapes(self):
         s2, _ = make_pair_layers(seed=13)
         x = Tensor(np.random.default_rng(14).standard_normal((3, 5, 6)), dtype=F64)
-        _, aux = s2.forward(x, k=2, train=True, rng=RngStream(2))
+        _, aux = s2.forward(x, k=2, rng=RngStream(2))
         assert aux.pooled_clean.shape == (3, 6)
         assert aux.pooled_noisy.shape == (3, 6)
         np.testing.assert_allclose(aux.pooled_clean.data, x.data.mean(axis=1), rtol=1e-12)
@@ -221,7 +216,7 @@ def test_reduction_property_forward_and_gradients():
 
         with Tape():
             x = Tensor(x_data, dtype=F64, requires_grad=True)
-            y2, _ = s2.forward(x, k=2, train=True, rng=RngStream(0))
+            y2, _ = s2.forward(x, k=2, rng=RngStream(0))
             backward(tsum(y2 * y2))
         g2 = {n: (t.grad.copy() if t.grad is not None else None) for n, t in s2.parameters()}
         for _, t in s2.parameters():
@@ -229,7 +224,7 @@ def test_reduction_property_forward_and_gradients():
 
         with Tape():
             xb = Tensor(x_data, dtype=F64, requires_grad=True)
-            yb, _ = base.forward(xb, k=2, train=True)
+            yb, _ = base.forward(xb, k=2)
             backward(tsum(yb * yb))
 
         assert np.max(np.abs(y2.data - yb.data)) < 1e-12

@@ -9,8 +9,14 @@ k=1 and k=2. A run is equal in the two trees when its ``metrics.csv`` rows
 match without ``wall_ms``, every checkpoint file matches byte for byte, and
 the eval text (BPC and ``[collapse]`` report) matches at both k.
 
+Each tree's process also probes acceptance criterion 5's two layers (a plain
+and a two-path layer, d=32, N=4, layer seeds 21 and 22, context stats from
+seed 23) at the probe vectors from seeds 1000 on. The Jacobian reports are
+equal when every report's text (or its refusal) and every array match.
+
 One line per variant and precision says equal or different, with the largest
-absolute difference over all checkpoint tensors. Exit 0 when every run is
+absolute difference over all checkpoint tensors, and one more line does the
+same for the Jacobian reports. Exit 0 when every run and the reports are
 equal, 1 when one differs, 2 when an argument is not a checkout.
 """
 
@@ -33,10 +39,12 @@ CORPUS_SEED = 7
 CORPUS_BYTES = 1_000_000
 # fields set on the desk preset for every run
 RUN = {"steps": 12, "seed": 3, "eval_interval": 2, "ckpt_interval": 4}
+PROBES = 60  # criterion-5 probe vectors per layer
 
 
-def run_tree(out: str, run: dict, corpus_bytes: int) -> None:
-    """Train and evaluate every run under ``out`` with the importable s2moe."""
+def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
+    """Train and evaluate every run under ``out`` with the importable s2moe,
+    then write the Jacobian reports."""
     from s2moe.checkpoint import load_checkpoint
     from s2moe.cli import cli
     from s2moe.config import preset
@@ -62,6 +70,37 @@ def run_tree(out: str, run: dict, corpus_bytes: int) -> None:
             np.savez(os.path.join(run_dir, "tensors.npz"),
                      **{f"{name}:{tensor}": arr for name in _checkpoints(run_dir)
                         for tensor, arr in load_checkpoint(os.path.join(run_dir, name)).tensors})
+    jacobian_reports(out, probes)
+
+
+def jacobian_reports(out: str, probes: int) -> None:
+    """Criterion 5's probes, as ``jacobian.txt`` (each report or refusal) and
+    ``jacobian.npz`` (each report's arrays) under ``out``."""
+    from s2moe.diagnostics import format_jacobian_report, jacobian_probe
+    from s2moe.moe import S2MoeLayer, SmoeLayer
+    from s2moe.stochastic import RngStream, compute_batch_stats
+    from s2moe.tensor import Tensor
+
+    d, n = 32, 4
+    ctx = compute_batch_stats(Tensor(np.random.default_rng(23).standard_normal((4, 16, d))))
+    texts, arrays = [], {}
+    for name, layer in (("smoe", SmoeLayer(d, n, 16, RngStream(21), dtype=np.float64)),
+                        ("s2moe", S2MoeLayer(d, n, 16, RngStream(22), dtype=np.float64))):
+        stochastic = name == "s2moe"
+        for seed in range(probes):
+            v = np.random.default_rng(1000 + seed).standard_normal(d)
+            try:
+                report = jacobian_probe(layer, v, k=n, stats=ctx if stochastic else None,
+                                        noise_rng=RngStream(seed) if stochastic else None)
+            except ValueError as err:
+                texts.append(f"{name} probe {seed}: refused: {err}")
+                continue
+            texts.append(f"{name} probe {seed}:\n{format_jacobian_report(report)}")
+            for field in ("jacobian", "jacobian_fixed_gates", "routing_residual", "singular_values"):
+                arrays[f"{name}:{seed}:{field}"] = getattr(report, field)
+    with open(os.path.join(out, "jacobian.txt"), "w", encoding="utf-8") as fh:
+        fh.write("\n".join(texts) + "\n")
+    np.savez(os.path.join(out, "jacobian.npz"), **arrays)
 
 
 def _checkpoints(run_dir: str) -> list[str]:
@@ -77,8 +116,10 @@ def _metrics_rows(run_dir: str) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in _read(os.path.join(run_dir, "metrics.csv")).splitlines()]
 
 
-def _max_tensor_diff(a: str, b: str) -> float:
-    with np.load(os.path.join(a, "tensors.npz")) as ta, np.load(os.path.join(b, "tensors.npz")) as tb:
+def _max_array_diff(a: str, b: str) -> float:
+    """Largest absolute difference between two ``.npz`` files' arrays (NaN
+    when either holds a NaN, so it never reads as 0)."""
+    with np.load(a) as ta, np.load(b) as tb:
         if sorted(ta.files) != sorted(tb.files):
             return float("inf")
         worst = 0.0
@@ -87,7 +128,7 @@ def _max_tensor_diff(a: str, b: str) -> float:
             if x.shape != y.shape:
                 return float("inf")
             if x.size:
-                worst = max(worst, float(np.max(np.abs(x.astype(np.float64) - y.astype(np.float64)))))
+                worst = float(np.max(np.abs(x.astype(np.float64) - y.astype(np.float64)), initial=worst))
         return worst
 
 
@@ -102,7 +143,7 @@ def _compare_run(a: str, b: str) -> tuple[list[str], float]:
         differs.append("checkpoints")
     if _read(os.path.join(a, "eval.txt")) != _read(os.path.join(b, "eval.txt")):
         differs.append("eval")
-    return differs, _max_tensor_diff(a, b)
+    return differs, _max_array_diff(os.path.join(a, "tensors.npz"), os.path.join(b, "tensors.npz"))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -122,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
         for label, src in zip("ab", sources):
             os.makedirs(run_at)
             code = (f"import sys; sys.path.insert(0, {HERE!r}); import parity; "
-                    f"parity.run_tree({run_at!r}, {RUN!r}, {CORPUS_BYTES!r})")
+                    f"parity.run_tree({run_at!r}, {RUN!r}, {CORPUS_BYTES!r}, {PROBES!r})")
             env = dict(os.environ, PYTHONPATH=src)
             subprocess.run([sys.executable, "-c", code], cwd=run_at, env=env, check=True)
             outs.append(os.path.join(work, label))
@@ -136,9 +177,13 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = f"different ({', '.join(differs)})" if differs else "equal"
                 print(f"{variant:<12} {precision}: {verdict}; max |tensor diff| {diff:.3g}")
                 equal += not differs
+        a, b = (os.path.join(out, "jacobian") for out in outs)
+        diff = _max_array_diff(a + ".npz", b + ".npz")
+        jacobian_equal = _read(a + ".txt") == _read(b + ".txt") and diff == 0
+        print(f"jacobian: {'equal' if jacobian_equal else 'different'}; max |array diff| {diff:.3g}")
     total = len(VARIANTS) * len(PRECISIONS)
     print(f"parity: {equal} of {total} runs equal")
-    return 0 if equal == total else 1
+    return 0 if equal == total and jacobian_equal else 1
 
 
 if __name__ == "__main__":
