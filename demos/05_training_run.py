@@ -8,8 +8,7 @@ import os
 import tempfile
 
 from s2moe import make_synthetic_corpus, preset
-from s2moe.checkpoint import apply_tensors, load_checkpoint
-from s2moe.train import build_model, evaluate_model, train
+from s2moe.train import evaluate_model, load_run, train
 
 workdir = tempfile.mkdtemp(prefix="s2moe-demo-")
 corpus_path = os.path.join(workdir, "corpus.txt")
@@ -26,8 +25,8 @@ result = train(cfg, log=print)
 print("\nmetrics file:", result.metrics_path)
 print("final checkpoint:", result.final_checkpoint)
 
-model = build_model(cfg, result.corpus)
-apply_tensors(model.parameters(), load_checkpoint(result.final_checkpoint))
+# rebuild the run from its checkpoint, as `s2moe eval` does: no init is drawn
+cfg, corpus, model = load_run(result.final_checkpoint)
 for k in (1, 2):
-    ev = evaluate_model(model, result.corpus, cfg, k=k, split="val", with_collapse=False)
+    ev = evaluate_model(model, corpus, cfg, k=k, split="val", with_collapse=False)
     print(f"val bpc at k={k}: {ev.bpc:.4f} (ppl {ev.ppl:.2f})")

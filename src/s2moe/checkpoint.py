@@ -16,7 +16,8 @@ Saving the result of a load reproduces the file byte for byte (less an
 older file's rng states), and a save replaces the file at its path atomically.
 Neither side holds the file in memory: a save writes each header and then the
 tensor's own buffer, and a load reads each payload once into a new array and
-seeks past the tensors its caller did not ask for.
+seeks past the tensors its caller did not ask for. Tensor names are unique
+within a file.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ class Checkpoint:
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to ``path``, streaming each tensor's own buffer after its header."""
+    names = set()
+    for name, _ in ckpt.tensors:
+        if name in names:
+            raise ValueError(f"checkpoint '{path}' names tensor '{name}' twice")
+        names.add(name)
     config_bytes = ckpt.config_text.encode("utf-8")
     # write beside the target and rename over it: a failed write leaves the
     # previous file at ``path`` untouched
@@ -72,7 +78,8 @@ def load_checkpoint(path: str, names: Collection[str] | None = None) -> Checkpoi
     """Read ``path`` front to back, each kept payload straight into its own array.
 
     With ``names``, only those tensors are kept; every other payload is
-    skipped by a seek, after the same bounds check a kept one gets.
+    skipped by a seek, after the same bounds check a kept one gets. A file
+    that names a tensor twice is refused, even where both are skipped.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -102,10 +109,13 @@ def load_checkpoint(path: str, names: Collection[str] | None = None) -> Checkpoi
             take(nlen + 16)
 
         (n_tensors,) = struct.unpack("<I", take(4))
-        tensors = []
+        tensors, seen = [], set()
         for _ in range(n_tensors):
             (nlen,) = struct.unpack("<H", take(2))
             name = take(nlen).decode("utf-8")
+            if name in seen:
+                raise ValueError(f"checkpoint '{path}' names tensor '{name}' twice")
+            seen.add(name)
             code, ndim = struct.unpack("<BB", take(2))
             shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
             if code not in _DTYPE_CODES:
@@ -128,7 +138,13 @@ def load_checkpoint(path: str, names: Collection[str] | None = None) -> Checkpoi
 
 
 def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint) -> None:
-    """Copy checkpoint tensors into named tensors, validating names and shapes."""
+    """Set each named tensor's data to the checkpoint's array of that name,
+    validating names and shapes.
+
+    The arrays are adopted, not copied (one is converted only if its dtype
+    differs), and Adam updates its moments in place: pass a checkpoint fresh
+    from ``load_checkpoint``, whose arrays nothing else holds.
+    """
     stored = dict(ckpt.tensors)
     for name, tensor in named_params:
         if name not in stored:
@@ -137,4 +153,4 @@ def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint
         if tuple(arr.shape) != tuple(tensor.data.shape):
             raise ValueError(
                 f"shape mismatch for '{name}': checkpoint {tuple(arr.shape)} vs model {tuple(tensor.data.shape)}")
-        tensor.data = arr.astype(tensor.data.dtype, copy=True)
+        tensor.data = arr.astype(tensor.data.dtype, copy=False)

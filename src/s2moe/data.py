@@ -8,55 +8,74 @@ batches are built from contiguous non-overlapping windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from functools import partial
 
 import numpy as np
 
 
-@dataclass
 class Corpus:
-    """A tokenized corpus; the three splits are int32 token-id arrays."""
+    """A tokenized corpus: the vocabulary and three int32 token-id splits.
 
-    vocab_bytes: list[int]        # byte value per id, unknown id excluded
-    unk_id: int
-    train: np.ndarray
-    val: np.ndarray
-    test: np.ndarray
+    A split may be given as a function that returns its ids; it is called
+    when the split is first read, and its result replaces it. ``ingest_corpus``
+    gives each split that way, holding the split's bytes until then, so a
+    run tokenizes only the splits it reads.
+    """
+
+    def __init__(self, vocab_bytes: list[int], unk_id: int, train, val, test):
+        self.vocab_bytes = vocab_bytes    # byte value per id, unknown id excluded
+        self.unk_id = unk_id
+        self._splits = {"train": train, "val": val, "test": test}
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab_bytes) + 1
 
+    def split(self, name: str) -> np.ndarray:
+        """The ids of split ``name`` (train, val or test)."""
+        if name not in self._splits:
+            raise ValueError(f"unknown split '{name}'")
+        ids = self._splits[name]
+        if callable(ids):
+            ids = self._splits[name] = ids()
+        return ids
+
+    train = property(lambda self: self.split("train"))
+    val = property(lambda self: self.split("val"))
+    test = property(lambda self: self.split("test"))
+
 
 def ingest_corpus(path: str, splits=(0.9, 0.05, 0.05)) -> Corpus:
-    """Read a corpus file and tokenize it into train/val/test id arrays."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) == 0:
-        raise ValueError(f"corpus '{path}' is empty")
-    if len(splits) != 3 or any(s < 0 for s in splits) or abs(sum(splits) - 1.0) > 1e-9:
-        raise ValueError(f"splits must be three non-negative fractions summing to 1, got {splits}")
+    """Read a corpus file into train/val/test splits over the train split's vocabulary.
 
-    n = len(raw)
-    b1 = int(n * splits[0])
-    b2 = b1 + int(n * splits[1])
-    data = np.frombuffer(raw, dtype=np.uint8)
-    train_bytes, val_bytes, test_bytes = data[:b1], data[b1:b2], data[b2:]
+    Each split's bytes are read straight into their own array, with no buffer
+    of the whole file, and become ids when the split is first read.
+    """
+    with open(path, "rb") as fh:
+        n = os.fstat(fh.fileno()).st_size
+        if n == 0:
+            raise ValueError(f"corpus '{path}' is empty")
+        if len(splits) != 3 or any(s < 0 for s in splits) or abs(sum(splits) - 1.0) > 1e-9:
+            raise ValueError(f"splits must be three non-negative fractions summing to 1, got {splits}")
+        b1 = int(n * splits[0])
+        b2 = b1 + int(n * splits[1])
+        parts = []
+        for size in (b1, b2 - b1, n - b2):
+            part = np.empty(size, dtype=np.uint8)
+            if fh.readinto(part) != size:
+                raise ValueError(f"corpus '{path}' changed size while it was read")
+            parts.append(part)
 
     # a mask, not np.bincount: bincount casts the split to intp, a temporary 8x its size
     seen = np.zeros(256, dtype=bool)
-    seen[train_bytes] = True
+    seen[parts[0]] = True
     vocab = np.flatnonzero(seen)
     unk_id = len(vocab)
     table = np.full(256, unk_id, dtype=np.int32)
     table[vocab] = np.arange(unk_id, dtype=np.int32)
-    return Corpus(
-        vocab_bytes=vocab.tolist(),
-        unk_id=unk_id,
-        train=table[train_bytes],
-        val=table[val_bytes],
-        test=table[test_bytes],
-    )
+    # each split is table[part], made when the split is first read
+    return Corpus(vocab.tolist(), unk_id, *(partial(table.__getitem__, part) for part in parts))
 
 
 def pair_count(tokens: np.ndarray, seq_len: int) -> int:

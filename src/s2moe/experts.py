@@ -22,10 +22,10 @@ class ExpertBank:
         self.n_experts = n_experts
         s1 = 1.0 / np.sqrt(d_model)
         s2 = 1.0 / np.sqrt(d_expert)
-        self.w1 = [Tensor(rng.normal((d_model, d_expert), scale=s1).astype(dtype), requires_grad=True)
+        self.w1 = [Tensor(rng.normal((d_model, d_expert), scale=s1).astype(dtype, copy=False), requires_grad=True)
                    for _ in range(n_experts)]
         self.b1 = [Tensor(np.zeros(d_expert, dtype=dtype), requires_grad=True) for _ in range(n_experts)]
-        self.w2 = [Tensor(rng.normal((d_expert, d_model), scale=s2).astype(dtype), requires_grad=True)
+        self.w2 = [Tensor(rng.normal((d_expert, d_model), scale=s2).astype(dtype, copy=False), requires_grad=True)
                    for _ in range(n_experts)]
         self.b2 = [Tensor(np.zeros(d_model, dtype=dtype), requires_grad=True) for _ in range(n_experts)]
         self.invocations = 0  # token-expert pairs evaluated

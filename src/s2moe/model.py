@@ -60,10 +60,10 @@ class Attention:
     def __init__(self, d_model: int, n_heads: int, rng: RngStream, dtype):
         self.n_heads = n_heads
         s = 1.0 / np.sqrt(d_model)
-        self.wq = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
-        self.wk = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
-        self.wv = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
-        self.wo = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype), requires_grad=True)
+        self.wq = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype, copy=False), requires_grad=True)
+        self.wk = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype, copy=False), requires_grad=True)
+        self.wv = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype, copy=False), requires_grad=True)
+        self.wo = Tensor(rng.normal((d_model, d_model), scale=s).astype(dtype, copy=False), requires_grad=True)
 
     def parameters(self):
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
@@ -73,18 +73,34 @@ class Attention:
         return matmul(causal_attention(q, k, v, self.n_heads), self.wo)
 
 
+class _Unset:
+    """Stands in for an init stream when every parameter will be set from a
+    checkpoint: each "draw" is a read-only array of the asked shape and the
+    model's dtype over one shared zero, so it costs no draw, write or memory."""
+
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def normal(self, shape, loc=0.0, scale=1.0) -> np.ndarray:
+        return np.broadcast_to(np.zeros((), dtype=self.dtype), shape)
+
+
+def _init_stream(cfg: ModelConfig, seed: int, init: bool):
+    return RngStream(seed) if init else _Unset(cfg.dtype)
+
+
 class DecoderBlock:
     """Pre-norm block: x + attn(ln(x)); then x + moe(ln(x))."""
 
-    def __init__(self, cfg: ModelConfig, layer_idx: int):
+    def __init__(self, cfg: ModelConfig, layer_idx: int, init: bool = True):
         dtype = cfg.dtype
         # one init stream per parameter group, so variants that add or skip
-        # parameters (blend gate, xmoe extras) do not shift the shared draws
+        # parameters (blend gate, xmoe extras) do not shift the shared draws;
+        # smoe-dropout's frozen router has a group of its own
         base = cfg.seed << 8
-        rng_attn = RngStream(base + 16 + layer_idx)
-        rng_router = RngStream(base + 48 + layer_idx)
-        rng_experts = RngStream(base + 80 + layer_idx)
-        rng_blend = RngStream(base + 112 + layer_idx)
+        router_group = 144 if cfg.variant == "smoe-dropout" else 48
+        rng_attn, rng_router, rng_experts, rng_blend = (
+            _init_stream(cfg, base + group + layer_idx, init) for group in (16, router_group, 80, 112))
         self.attn = Attention(cfg.d_model, cfg.n_heads, rng_attn, dtype)
         self.ln1_g = Tensor(np.ones(cfg.d_model, dtype=dtype), requires_grad=True)
         self.ln1_b = Tensor(np.zeros(cfg.d_model, dtype=dtype), requires_grad=True)
@@ -97,7 +113,6 @@ class DecoderBlock:
             self.moe = SmoeLayer(cfg.d_model, cfg.n_experts, cfg.d_exp, rng_experts,
                                  variant=cfg.variant, dtype=dtype, d_low=cfg.d_low,
                                  stage_boundary=cfg.stage_boundary,
-                                 frozen_seed=base + 144 + layer_idx,
                                  rng_router=rng_router)
         self.dropout = cfg.dropout
 
@@ -131,17 +146,22 @@ def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
 
 
 class LanguageModel:
-    """Decoder stack with MoE FFNs; each forward routes at the k it is given."""
+    """Decoder stack with MoE FFNs; each forward routes at the k it is given.
 
-    def __init__(self, cfg: ModelConfig):
+    With ``init`` off, nothing is drawn: every drawn parameter is a read-only
+    placeholder of its shape and dtype, for a caller that sets every
+    parameter next (``apply_tensors`` from a checkpoint).
+    """
+
+    def __init__(self, cfg: ModelConfig, init: bool = True):
         self.cfg = cfg
         dtype = cfg.dtype
-        rng = RngStream((cfg.seed << 8) + 1)
-        self.embed = Tensor(rng.normal((cfg.vocab_size, cfg.d_model), scale=0.01).astype(dtype),
+        rng = _init_stream(cfg, (cfg.seed << 8) + 1, init)
+        self.embed = Tensor(rng.normal((cfg.vocab_size, cfg.d_model), scale=0.01).astype(dtype, copy=False),
                             requires_grad=True)
-        self.pos = Tensor(rng.normal((cfg.seq_len, cfg.d_model), scale=0.01).astype(dtype),
+        self.pos = Tensor(rng.normal((cfg.seq_len, cfg.d_model), scale=0.01).astype(dtype, copy=False),
                           requires_grad=True)
-        self.blocks = [DecoderBlock(cfg, i) for i in range(cfg.n_layers)]
+        self.blocks = [DecoderBlock(cfg, i, init) for i in range(cfg.n_layers)]
         self.lnf_g = Tensor(np.ones(cfg.d_model, dtype=dtype), requires_grad=True)
         self.lnf_b = Tensor(np.zeros(cfg.d_model, dtype=dtype), requires_grad=True)
 

@@ -41,11 +41,10 @@ class SmoeLayer:
 
     def __init__(self, d_model: int, n_experts: int, d_expert: int, rng: RngStream,
                  variant: str = "smoe", dtype=np.float32, d_low: int = 8,
-                 stage_boundary: int | None = None, frozen_seed: int | None = None,
-                 rng_router: RngStream | None = None):
+                 stage_boundary: int | None = None, rng_router: RngStream | None = None):
         self.router: RouterParams = make_router(
             n_experts, d_model, variant, rng_router if rng_router is not None else rng,
-            dtype=dtype, d_low=d_low, stage_boundary=stage_boundary, frozen_seed=frozen_seed)
+            dtype=dtype, d_low=d_low, stage_boundary=stage_boundary)
         self.experts = ExpertBank(n_experts, d_model, d_expert, rng, dtype=dtype)
 
     def parameters(self) -> list[tuple[str, Tensor]]:

@@ -60,25 +60,26 @@ def make_router(n_experts: int, d_model: int, variant: str, rng, dtype=np.float3
                 frozen_seed: int | None = None) -> RouterParams:
     """Initialize router parameters for a variant.
 
-    ``rng`` draws the embeddings; smoe-dropout redraws from its own
-    ``frozen_seed`` stream and freezes them for good.
+    ``rng`` draws the embeddings. smoe-dropout freezes them for good, and
+    draws them from its own ``frozen_seed`` stream when one is given.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown router variant '{variant}'")
     scale = 1.0 / np.sqrt(d_model)
     if variant == "smoe-dropout":
         from .stochastic import RngStream
-        stream = RngStream(frozen_seed if frozen_seed is not None else 0)
-        w = stream.normal((n_experts, d_model), scale=scale).astype(dtype)
+        stream = RngStream(frozen_seed) if frozen_seed is not None else rng
+        w = stream.normal((n_experts, d_model), scale=scale).astype(dtype, copy=False)
         return RouterParams(w_e=Tensor(w, requires_grad=False), variant=variant)
-    w = Tensor(rng.normal((n_experts, d_model), scale=scale).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal((n_experts, d_model), scale=scale).astype(dtype, copy=False), requires_grad=True)
     params = RouterParams(w_e=w, variant=variant)
     if variant == "xmoe":
         if not d_low < d_model:
             raise ValueError(f"xmoe requires d_low < d_model, got {d_low} >= {d_model}")
-        params.w_down = Tensor(rng.normal((d_low, d_model), scale=scale).astype(dtype), requires_grad=True)
-        params.emb_low = Tensor(rng.normal((n_experts, d_low), scale=1.0 / np.sqrt(d_low)).astype(dtype),
-                                requires_grad=True)
+        params.w_down = Tensor(rng.normal((d_low, d_model), scale=scale).astype(dtype, copy=False),
+                               requires_grad=True)
+        emb_low = rng.normal((n_experts, d_low), scale=1.0 / np.sqrt(d_low))
+        params.emb_low = Tensor(emb_low.astype(dtype, copy=False), requires_grad=True)
         params.tau_r = Tensor(np.asarray(0.07, dtype=dtype), requires_grad=True)
     if variant == "stablemoe":
         params.stage_boundary = stage_boundary

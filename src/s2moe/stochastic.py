@@ -73,7 +73,8 @@ class BlendGateParams:
 
 
 def make_blend_gate(d_model: int, rng: RngStream, dtype=np.float32) -> BlendGateParams:
-    w = Tensor(rng.normal((d_model, 1), scale=1.0 / np.sqrt(d_model)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal((d_model, 1), scale=1.0 / np.sqrt(d_model)).astype(dtype, copy=False),
+               requires_grad=True)
     b = Tensor(np.zeros(1, dtype=dtype), requires_grad=True)
     return BlendGateParams(w=w, b=b)
 

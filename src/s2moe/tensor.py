@@ -11,12 +11,41 @@ is used wherever gradients are verified against finite differences.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+
+
+def _pin_allocator() -> None:
+    """Fix glibc's mmap and trim thresholds for this process; elsewhere do nothing.
+
+    By default glibc maps each block above a threshold that rises to the size
+    of every mapped block freed, and gives the heap's free top back to the
+    kernel past a limit that rises with it. Whether an op's MB-sized
+    temporaries are reused from the heap, or faulted in afresh on every call,
+    then depends on the heap's history, down to the length of paths in a
+    config echo. Pinned thresholds (32 MiB, glibc's largest, and 64 MiB of
+    free top) keep them in the heap. ``ctypes.util.find_library`` is not
+    used: it starts a subprocess.
+    """
+    try:
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError, ValueError):  # not glibc, or no mallopt
+        return
+    if glibc:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        m_trim_threshold, m_mmap_threshold = -1, -3   # malloc.h
+        mallopt(m_mmap_threshold, 32 << 20)
+        mallopt(m_trim_threshold, 64 << 20)
+
+
+_pin_allocator()
 
 
 class TensorError(Exception):

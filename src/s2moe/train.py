@@ -202,9 +202,11 @@ def _save_state(path: str, cfg: RunConfig, model: LanguageModel, adam: Adam, ste
     save_checkpoint(path, Checkpoint(config_text=cfg.to_text(), step=step, tensors=tensors))
 
 
-def build_model(cfg: RunConfig, corpus: Corpus) -> LanguageModel:
+def build_model(cfg: RunConfig, corpus: Corpus, init: bool = True) -> LanguageModel:
+    """The run's model over the corpus vocabulary; with ``init`` off it draws
+    nothing, for a caller that sets every parameter from a checkpoint."""
     cfg.vocab_size = corpus.vocab_size
-    return LanguageModel(cfg.model_config())
+    return LanguageModel(cfg.model_config(), init)
 
 
 # fields a resume may change: where the run writes, how far it goes, how often it reports
@@ -233,11 +235,12 @@ def load_run(ckpt_path: str) -> tuple[RunConfig, Corpus, LanguageModel]:
     """Rebuild a run from its checkpoint: config echo, corpus, and the restored model.
 
     The first read keeps no tensor, only the config the model is built from;
-    the second reads the model's parameters and skips the Adam moments.
+    the second reads the model's parameters and skips the Adam moments. The
+    model draws no init, and its parameters are the arrays that read made.
     """
     cfg = parse_config_text(load_checkpoint(ckpt_path, names=()).config_text)
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
-    model = build_model(cfg, corpus)
+    model = build_model(cfg, corpus, init=False)
     params = model.parameters()
     apply_tensors(params, load_checkpoint(ckpt_path, names={name for name, _ in params}))
     return cfg, corpus, model
@@ -248,13 +251,15 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     """Run the training loop; returns checkpoint/metrics paths and rows.
 
     ``model_hook(model)``, if given, runs after construction (and after any
-    checkpoint restore), e.g. to pin gates or disable the noise branch.
+    checkpoint restore), e.g. to pin gates or disable the noise branch. A
+    resume draws no init: the checkpoint's arrays become the parameters and
+    the Adam moments.
     """
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
     pairs = pair_count(corpus.train, cfg.seq_len)
     if pairs == 0:
         raise ValueError("corpus train split shorter than one sequence")
-    model = build_model(cfg, corpus)
+    model = build_model(cfg, corpus, init=resume_from is None)
     adam = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam)
 
     start_step = 0
@@ -359,9 +364,7 @@ class EvalResult:
 def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
                    split: str, with_collapse: bool = True) -> EvalResult:
     """Teacher-forced evaluation over a split at inference-time k."""
-    tokens = {"train": corpus.train, "val": corpus.val, "test": corpus.test}.get(split)
-    if tokens is None:
-        raise ValueError(f"unknown split '{split}'")
+    tokens = corpus.split(split)
     pairs = pair_count(tokens, cfg.seq_len)
     if pairs == 0:
         raise ValueError(f"split '{split}' shorter than one sequence")

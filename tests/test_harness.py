@@ -15,8 +15,10 @@ import pytest
 
 from s2moe.checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
 from s2moe.config import load_config, parse_config_text, preset
-from s2moe.data import ingest_corpus
+from s2moe.data import ingest_corpus, make_synthetic_corpus
+from s2moe.diagnostics import format_collapse_report
 from s2moe.routing import VARIANTS
+from s2moe.stochastic import RngStream
 from s2moe.tensor import NonFiniteError, set_nan_guard
 from s2moe.train import (
     TrainAbort,
@@ -296,6 +298,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="^checkpoint missing tensor 'absent'$"):
             apply_tensors([("w", Tensor(np.zeros((3, 4)))), ("absent", Tensor(np.zeros(2)))],
                           load_checkpoint(path))
+
+    def test_duplicate_tensor_name_refused_on_save_and_load(self, tmp_path):
+        path, ck = self.make(tmp_path)
+        twice = dataclasses.replace(ck, tensors=[("w", np.zeros((3, 4), np.float32)),
+                                                 ("w", np.ones((3, 4), np.float32))])
+        target = tmp_path / "twice.bin"
+        with pytest.raises(ValueError, match=rf"^checkpoint '{re.escape(str(target))}' names tensor 'w' twice$"):
+            save_checkpoint(str(target), twice)
+        assert not target.exists()
+
+        # the same file as an older writer could leave it: rename tensor 'b' to 'w'
+        blob = bytearray(open(path, "rb").read())
+        at = blob.index(struct.pack("<H", 1) + b"b", dtype_code_offset(ck))
+        blob[at + 2: at + 3] = b"w"
+        target.write_bytes(bytes(blob))
+        for names in (None, {"w"}, {"absent"}):  # kept, half skipped, all skipped
+            with pytest.raises(ValueError,
+                               match=rf"^checkpoint '{re.escape(str(target))}' names tensor 'w' twice$"):
+                load_checkpoint(str(target), names=names)
 
     def make_large(self, tmp_path):
         """A few-MB checkpoint of several tensors, a 0-d one among them."""
@@ -707,6 +728,75 @@ class TestTraining:
         assert metrics_equal(metrics, os.path.join(cfg.out_dir, "metrics.csv"))
         for name, data in guarded.items():
             assert open(os.path.join(cfg.out_dir, name), "rb").read() == data, name
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """A one-item list counting every RngStream draw from here on."""
+    count = [0]
+    for method in ("normal", "uniform", "integers"):
+        real = getattr(RngStream, method)
+
+        def counted(self, *args, _real=real, **kwargs):
+            count[0] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(RngStream, method, counted)
+    return count
+
+
+class TestRebuild:
+    """A rebuild from a checkpoint draws no init, keeps the arrays the load
+    made, and tokenizes only the splits it reads."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_model_without_init_draws_nothing(self, small_corpus, variant, monkeypatch):
+        cfg = tiny_run_config(small_corpus, "unused", variant=variant)
+        corpus = ingest_corpus(cfg.corpus, cfg.splits)
+        fresh = build_model(cfg, corpus)
+        draws = _count_draws(monkeypatch)
+        bare = build_model(cfg, corpus, init=False)
+        assert draws == [0]
+        assert [(n, t.data.shape, t.data.dtype) for n, t in bare.parameters()] == \
+            [(n, t.data.shape, t.data.dtype) for n, t in fresh.parameters()]
+
+    def test_load_run_and_resume_draw_nothing(self, small_corpus, tmp_path, monkeypatch):
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=2, variant="s2moe")
+        final = train(cfg).final_checkpoint
+        draws = _count_draws(monkeypatch)
+        load_run(final)
+        assert draws == [0]
+        train(tiny_run_config(small_corpus, tmp_path / "again", steps=2, variant="s2moe"), resume_from=final)
+        assert draws == [0]
+
+    def test_eval_makes_no_train_ids(self, tmp_path):
+        corpus = make_synthetic_corpus(str(tmp_path / "mib.txt"), n_bytes=1 << 20, seed=5)
+        cfg = tiny_run_config(corpus, tmp_path / "run", steps=1, batch_size=32)
+        final = train(cfg).final_checkpoint
+        train_ids = 4 * int((1 << 20) * cfg.splits[0])
+
+        def rebuild_and_eval():
+            rcfg, rcorpus, model = load_run(final)
+            return evaluate_model(model, rcorpus, rcfg, k=2, split="val")
+        _, peak = _traced_peak(rebuild_and_eval)
+        assert peak < train_ids
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rebuild_equals_build_and_apply_at_f64(self, small_corpus, tmp_path, variant):
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=2, precision="f64", seed=3, variant=variant)
+        final = train(cfg).final_checkpoint
+        stored = dict(load_checkpoint(final).tensors)
+        _, _, model = load_run(final)
+        for name, t in model.parameters():
+            assert (t.data.dtype, t.data.shape, t.data.tobytes()) == \
+                (stored[name].dtype, stored[name].shape, stored[name].tobytes()), name
+
+        corpus = ingest_corpus(cfg.corpus, cfg.splits)
+        built = build_model(cfg, corpus)
+        apply_tensors(built.parameters(), load_checkpoint(final))
+        for k in (1, 2):
+            rebuilt, _ = evaluate_checkpoint(final, k=k, split="val")
+            direct = evaluate_model(built, corpus, cfg, k=k, split="val")
+            assert rebuilt.bpc == direct.bpc
+            assert format_collapse_report(rebuilt.collapse) == format_collapse_report(direct.collapse)
 
 
 class TestEvaluate:

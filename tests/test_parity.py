@@ -1,8 +1,11 @@
 """``tools/parity.py`` on one tree against itself, at a tiny size: every
-variant and precision, and the Jacobian reports, are equal."""
+variant and precision, and the Jacobian reports, are equal; and a run whose
+probe text alone differs is told apart."""
 
 import importlib.util
 import pathlib
+
+import numpy as np
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
@@ -26,3 +29,15 @@ def test_tree_against_itself_is_equal(monkeypatch, capsys):
 def test_refuses_a_path_without_source(tmp_path, capsys):
     assert parity.main([str(ROOT), str(tmp_path)]) == 2
     assert "holds no src/s2moe" in capsys.readouterr().err
+
+
+def test_probe_text_is_compared(tmp_path):
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for run, probe in zip(runs, ("layer 0 report\nexit 0\n", "layer 0 other report\nexit 0\n")):
+        run.mkdir()
+        (run / "metrics.csv").write_text("step,wall_ms\n0,1.0\n")
+        (run / "ckpt-final.bin").write_bytes(b"same")
+        (run / "eval.txt").write_text("[eval]\n")
+        (run / "probe.txt").write_text(probe)
+        np.savez(run / "tensors.npz", w=np.zeros(2))
+    assert parity._compare_run(*map(str, runs)) == (["probe"], 0.0)

@@ -2,7 +2,12 @@
 finite-difference oracle every other module leans on."""
 
 import gc
+import importlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -347,3 +352,26 @@ class TestTapeLifetime:
         with pytest.raises(GraphError):
             with tape:
                 pass
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_large_temporaries_are_reused_without_page_faults():
+    """After ``import s2moe``, 1 MiB temporaries come back from the heap:
+    glibc's default policy maps them, or trims them off the heap, and
+    faults every page in again on each batch."""
+    code = ("import resource\n"
+            "import numpy as np\n"
+            "import s2moe\n"
+            "keep = np.ones(1000)\n"
+            "faults = []\n"
+            "for _ in range(20):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    batch = [np.ones(1 << 18, dtype=np.float32) for _ in range(12)]\n"
+            "    del batch\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(max(faults[5:]))\n")
+    src = os.path.dirname(os.path.dirname(importlib.import_module("s2moe").__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100

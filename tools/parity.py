@@ -5,9 +5,11 @@
 Each tree is a checkout: a directory holding ``src/s2moe``. Each tree runs,
 in its own subprocess, every variant at f32 and f64: a short desk-preset
 training run, then ``s2moe eval`` of its final checkpoint on the val split at
-k=1 and k=2. A run is equal in the two trees when its ``metrics.csv`` rows
-match without ``wall_ms``, every checkpoint file matches byte for byte, and
-the eval text (BPC and ``[collapse]`` report) matches at both k.
+k=1 and k=2, and ``s2moe probe --layer 0`` of it. A run is equal in the two
+trees when its ``metrics.csv`` rows match without ``wall_ms``, every
+checkpoint file matches byte for byte, the eval text (BPC and ``[collapse]``
+report) matches at both k, and the probe text (Jacobian and collapse reports,
+or its refusal, with its exit code) matches.
 
 Each tree's process also probes acceptance criterion 5's two layers (a plain
 and a two-path layer, d=32, N=4, layer seeds 21 and 22, context stats from
@@ -67,6 +69,11 @@ def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
                         raise SystemExit(f"s2moe eval failed on {final} at k={k}")
             with open(os.path.join(run_dir, "eval.txt"), "w", encoding="utf-8") as fh:
                 fh.write(text.getvalue())
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+                code = cli(["probe", "--ckpt", final, "--layer", "0"])
+            with open(os.path.join(run_dir, "probe.txt"), "w", encoding="utf-8") as fh:
+                fh.write(f"{text.getvalue()}exit {code}\n")
             np.savez(os.path.join(run_dir, "tensors.npz"),
                      **{f"{name}:{tensor}": arr for name in _checkpoints(run_dir)
                         for tensor, arr in load_checkpoint(os.path.join(run_dir, name)).tensors})
@@ -141,8 +148,9 @@ def _compare_run(a: str, b: str) -> tuple[list[str], float]:
     if names != _checkpoints(b) or any(_read(os.path.join(a, n), "rb") != _read(os.path.join(b, n), "rb")
                                        for n in names):
         differs.append("checkpoints")
-    if _read(os.path.join(a, "eval.txt")) != _read(os.path.join(b, "eval.txt")):
-        differs.append("eval")
+    for report in ("eval", "probe"):
+        if _read(os.path.join(a, f"{report}.txt")) != _read(os.path.join(b, f"{report}.txt")):
+            differs.append(report)
     return differs, _max_array_diff(os.path.join(a, "tensors.npz"), os.path.join(b, "tensors.npz"))
 
 
