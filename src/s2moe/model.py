@@ -15,7 +15,7 @@ import numpy as np
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
 from .stochastic import RngStream
-from .tensor import Tensor, add, causal_attention, gather_rows, layernorm, matmul, mul, transpose
+from .tensor import Tensor, add, affine_layer_norm, causal_attention, gather_rows, matmul, mul, transpose
 
 
 @dataclass
@@ -124,16 +124,12 @@ class DecoderBlock:
         return named
 
     def forward(self, x: Tensor, k: int, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
-        a = self.attn.forward(_affine_norm(x, self.ln1_g, self.ln1_b))
+        a = self.attn.forward(affine_layer_norm(x, self.ln1_g, self.ln1_b))
         x = add(x, _dropout(a, self.dropout, rng))
-        h = _affine_norm(x, self.ln2_g, self.ln2_b)
+        h = affine_layer_norm(x, self.ln2_g, self.ln2_b)
         m, aux = self.moe.forward(h, k, rng)
         x = add(x, _dropout(m, self.dropout, rng))
         return x, aux
-
-
-def _affine_norm(x: Tensor, g: Tensor, b: Tensor) -> Tensor:
-    return add(mul(layernorm(x), g), b)
 
 
 def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
@@ -205,6 +201,6 @@ class LanguageModel:
         for blk in self.blocks:
             x, aux = blk.forward(x, k, rng)
             auxes.append(aux)
-        h = _affine_norm(x, self.lnf_g, self.lnf_b)
+        h = affine_layer_norm(x, self.lnf_g, self.lnf_b)
         logits = matmul(h, transpose(self.embed, (1, 0)))
         return logits, auxes

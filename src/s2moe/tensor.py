@@ -194,11 +194,18 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` records: a tape is open and an input
+    requires grad. An op that asks before it computes keeps its backward
+    state only when this holds."""
+    return bool(_tape_stack) and any(t.requires_grad for t in inputs)
+
+
 def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], list]) -> Tensor:
     """Wrap an op result, run the NaN guard, and record on the open tape."""
     tape = active_tape()
-    requires = tape is not None and any(t.requires_grad for t in inputs)
+    requires = _recording(inputs)
     out = Tensor(out_data, requires_grad=requires)
     if _nan_guard and not np.isfinite(out_data).all():
         where = f" (tape position {len(tape)})" if tape is not None else ""
@@ -266,15 +273,20 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # elementwise primitives
+#
+# ``add``, ``sub`` and ``mul`` return no gradient for an operand that takes
+# none (a mask, a noise factor, a constant), so its product is never formed.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         _check_broadcast("add", a, b)
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)]
+        return [_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None]
 
     return _finish("add", out, (a, b), bw)
 
@@ -283,9 +295,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         _check_broadcast("sub", a, b)
     out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return [_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)]
+        return [_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(-g, b.shape) if need_b else None]
 
     return _finish("sub", out, (a, b), bw)
 
@@ -295,9 +309,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast("mul", a, b)
     out = a.data * b.data
     a_data, b_data = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return [_unbroadcast(g * b_data, a.shape), _unbroadcast(g * a_data, b.shape)]
+        return [_unbroadcast(g * b_data, a.shape) if need_a else None,
+                _unbroadcast(g * a_data, b.shape) if need_b else None]
 
     return _finish("mul", out, (a, b), bw)
 
@@ -465,7 +481,11 @@ def _strictly_increasing(idx: np.ndarray) -> bool:
 
 def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Rows ``a[idx]`` for an index array of any shape; the gradient
-    scatter-adds back into the rows, so repeated indices accumulate."""
+    scatter-adds back into the rows, so repeated indices accumulate.
+
+    A repeated-index scatter runs as one flat 1-D ``np.add.at`` over single
+    elements: each element still sums its rows' values in index order, as a
+    row-wise ``np.add.at`` does, but on numpy's fast 1-D path."""
     idx = np.asarray(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather-rows: index outside [0, {a.shape[0]}) for shape {a.shape}")
@@ -478,7 +498,9 @@ def gather_rows(a: Tensor, idx: np.ndarray) -> Tensor:
         if unique:
             ga[idx] = g
         else:
-            np.add.at(ga, idx, g)
+            width = int(np.prod(a_shape[1:]))
+            flat = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+            np.add.at(ga.reshape(-1), flat, g.reshape(-1))
         return [ga]
 
     return _finish("gather-rows", out, (a,), bw)
@@ -501,20 +523,34 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _finish("softmax", out, (a,), bw)
 
 
-def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean, unit variance (no affine)."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+def affine_layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Tensor:
+    """``normalize(x) * g + b``: x normalized over its last axis to zero mean
+    and unit variance, then scaled and shifted, rounding as a normalize, a
+    ``mul`` and an ``add`` would. Without a record the output reuses the
+    normalized buffer."""
+    recording = _recording((x, g, b))
+    mu = x.data.mean(axis=-1, keepdims=True)
+    y = x.data - mu
+    var = (y * y).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    y *= inv
+    out = y * g.data if recording else np.multiply(y, g.data, out=y)
+    out += b.data
+    g_data = g.data
+    need_x, need_g, need_b = x.requires_grad, g.requires_grad, b.requires_grad
 
-    def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * y).mean(axis=-1, keepdims=True)
-        return [inv * (g - gm - y * gym)]
+    def bw(grad):
+        gx = None
+        if need_x:
+            gy = grad * g_data
+            gm = gy.mean(axis=-1, keepdims=True)
+            gym = (gy * y).mean(axis=-1, keepdims=True)
+            gx = inv * (gy - gm - y * gym)
+        return [gx,
+                _unbroadcast(grad * y, g.shape) if need_g else None,
+                _unbroadcast(grad, b.shape) if need_b else None]
 
-    return _finish("layer-norm", y, (a,), bw)
+    return _finish("affine-layer-norm", out, (x, g, b), bw)
 
 
 _causal_masks: dict[tuple[int, np.dtype], np.ndarray] = {}
@@ -531,11 +567,20 @@ def _causal_mask(t: int, dtype) -> np.ndarray:
     return mask
 
 
+_TILE = 32  # query rows per causal attention tile
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal attention over (B, T, d) projections: per head,
     softmax(q k^T / sqrt(dh) + mask) v, with the heads merged back to d.
 
-    The backward reuses the saved probabilities and recomputes nothing.
+    The forward runs in tiles of ``_TILE`` query rows. A tile scores only the
+    columns up to its last row, masks its diagonal block, and writes its
+    softmax times v into the output. Only when the op records are the
+    (B, h, T, T) probabilities kept, zero right of each tile, and the
+    backward reuses them and recomputes nothing. A tile reduces over its own
+    columns, not the whole row, so past T = 128 its row sums, and its
+    products at any T, may round apart from a full-row forward's.
     """
     if not q.shape == k.shape == v.shape or q.data.ndim != 3:
         raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
@@ -545,25 +590,32 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         raise ShapeError(f"causal-attention: d={d} is not divisible by {n_heads} heads")
     h, dh = n_heads, d // n_heads
 
-    def split(a):  # (B, T, d) -> contiguous (B, h, T, dh)
-        return np.ascontiguousarray(a.reshape(b, t, h, dh).transpose(0, 2, 1, 3))
+    def split(a):  # (B, T, d) -> (B, h, T, dh) view
+        return a.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
 
     def merge(a):  # (B, h, T, dh) -> (B, T, d)
         return a.transpose(0, 2, 1, 3).reshape(b, t, d)
 
+    # q and v stay strided views: BLAS reads each head's rows in place
     qh, vh = split(q.data), split(v.data)
     kt = np.ascontiguousarray(k.data.reshape(b, t, h, dh).transpose(0, 2, 3, 1))  # (B, h, dh, T)
     scale = q.dtype.type(1.0 / np.sqrt(dh))
-    p = qh @ kt
-    p *= scale
-    p += _causal_mask(t, q.dtype)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = merge(p @ vh)
+    p = np.zeros((b, h, t, t), dtype=q.dtype) if _recording((q, k, v)) else None
+    out = np.empty((b, t, h, dh), dtype=q.dtype)
+    for r0 in range(0, t, _TILE):
+        r1 = min(r0 + _TILE, t)
+        s = qh[:, :, r0:r1] @ kt[..., :r1]
+        s *= scale
+        s[..., r0:] += _causal_mask(r1 - r0, q.dtype)
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= s.sum(axis=-1, keepdims=True)
+        out[:, r0:r1] = (s @ vh[:, :, :r1]).transpose(0, 2, 1, 3)
+        if p is not None:
+            p[:, :, r0:r1, :r1] = s
 
     def bw(g):
-        gh = split(g)
+        gh = np.ascontiguousarray(split(g))
         gp = gh @ np.ascontiguousarray(vh.transpose(0, 1, 3, 2))
         gv = p.transpose(0, 1, 3, 2) @ gh
         # softmax backward from the saved output, then the scale
@@ -574,7 +626,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
         gk = (qh.transpose(0, 1, 3, 2) @ gp).transpose(0, 1, 3, 2)
         return [merge(gq), merge(gk), merge(gv)]
 
-    return _finish("causal-attention", out, (q, k, v), bw)
+    return _finish("causal-attention", out.reshape(b, t, d), (q, k, v), bw)
 
 
 def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tensor],
@@ -587,7 +639,8 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     and each expert runs its GEMMs on one contiguous slice of the gathered
     rows. A row's contributions are summed from zero in ascending expert
     order; the backward sums its dx in descending expert order. Experts no
-    row selects are never run and get no gradient.
+    row selects are never run and get no gradient. Each expert's hidden and
+    output slabs are kept for the backward only when the op records.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -599,6 +652,8 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
         raise ShapeError(f"expert-ffn: indices {np.shape(indices)} do not give every row of x {x.shape} k slots")
     if flat.min() < 0 or flat.max() >= n:
         raise ShapeError(f"expert-ffn: expert index outside [0, {n})")
+    inputs = (x, gates, *w1, *b1, *w2, *b2)
+    recording = _recording(inputs)
     order = np.argsort(flat, kind="stable")
     rows, experts = order // (flat.size // m), flat[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
@@ -616,7 +671,8 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
         y = _gemm(hid, w2[i].data)
         y += b2[i].data
         out[rows[lo:hi]] += gate[lo:hi] * y
-        hidden[i], ys[i] = hid, y
+        if recording:
+            hidden[i], ys[i] = hid, y
 
     def bw(g):
         gs = g.reshape(m, d)[rows]
@@ -637,7 +693,7 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
             gx[rows[lo:hi]] += gh @ w1[i].data.T
         return [gx.reshape(x.shape), g_gate.reshape(gates.shape), *gw1, *gb1, *gw2, *gb2]
 
-    return _finish("expert-ffn", out.reshape(x.shape), (x, gates, *w1, *b1, *w2, *b2), bw)
+    return _finish("expert-ffn", out.reshape(x.shape), inputs, bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

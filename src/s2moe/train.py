@@ -83,14 +83,18 @@ def metrics_equal(path_a: str, path_b: str) -> bool:
 
 class Adam:
     """Adam over named parameters; frozen and gradient-free tensors are skipped.
-    Its moments are named tensors, saved and restored with the parameters."""
+    Its moments are named tensors, saved and restored with the parameters.
+
+    With ``init`` off the moments are read-only placeholders of their shape
+    and dtype, for a resume that sets them next (``apply_tensors``)."""
 
     def __init__(self, named_params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8, init: bool = True):
         self.named = list(named_params)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.m = [Tensor(np.zeros_like(t.data)) for _, t in self.named]
-        self.v = [Tensor(np.zeros_like(t.data)) for _, t in self.named]
+        moment = np.zeros_like if init else (lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
+        self.m = [Tensor(moment(t.data)) for _, t in self.named]
+        self.v = [Tensor(moment(t.data)) for _, t in self.named]
 
     def step(self, t: int) -> None:
         c1 = 1.0 - self.beta1 ** t
@@ -252,15 +256,15 @@ def train(cfg: RunConfig, resume_from: str | None = None,
 
     ``model_hook(model)``, if given, runs after construction (and after any
     checkpoint restore), e.g. to pin gates or disable the noise branch. A
-    resume draws no init: the checkpoint's arrays become the parameters and
-    the Adam moments.
+    resume draws no init and zero-fills no moment: the checkpoint's arrays
+    become the parameters and the Adam moments.
     """
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
     pairs = pair_count(corpus.train, cfg.seq_len)
     if pairs == 0:
         raise ValueError("corpus train split shorter than one sequence")
     model = build_model(cfg, corpus, init=resume_from is None)
-    adam = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam)
+    adam = Adam(model.parameters(), cfg.lr, cfg.beta1, cfg.beta2, cfg.eps_adam, init=resume_from is None)
 
     start_step = 0
     if resume_from is not None:

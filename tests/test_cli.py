@@ -119,7 +119,7 @@ class TestTrainEval:
         save_checkpoint(ckpt, ck)
         capsys.readouterr()
         assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 2
-        assert "error: op 'add' produced non-finite values" in capsys.readouterr().err
+        assert "error: op 'affine-layer-norm' produced non-finite values" in capsys.readouterr().err
 
     def test_eval_of_diverged_checkpoint_prints_inf_perplexity(self, tiny_config_file, capsys):
         path, cfg = tiny_config_file("rdiverged", steps=1)

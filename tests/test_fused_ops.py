@@ -1,9 +1,13 @@
-"""The two fused primitives, ``causal_attention`` and ``expert_ffn``, against
-the compositions of small ops they replace: the output and every input
-gradient must be bitwise equal, at f32 and f64. A non-finite value inside
-either op is still named by the NaN replay."""
+"""The fused primitives, ``causal_attention``, ``affine_layer_norm`` and
+``expert_ffn``, against the compositions of small ops they replace: the output
+and every input gradient must be bitwise equal, at f32 and f64 (attention
+past one tile row within the stated rounding). A fused op's output without a
+tape equals its recorded output. A non-finite value inside an op is still
+named by the NaN replay."""
 
+import contextlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from s2moe.tensor import (
     Tensor,
     _finish,
     add,
+    affine_layer_norm,
     backward,
     causal_attention,
     expert_ffn,
@@ -50,6 +55,22 @@ def composed_attention(q, k, v, n_heads):
     mask = np.triu(np.full((t, t), -1e9, dtype=q.dtype), k=1)[None, None]
     attn = softmax(add(scores, Tensor(mask)), axis=-1)
     return reshape(transpose(matmul(attn, vh), (0, 2, 1, 3)), (b, t, d))
+
+
+def composed_layer_norm(x, g, b, eps=1e-5):
+    """A layer norm without affine, then ``mul`` by g and ``add`` of b."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    y = centered * inv
+
+    def bw(grad):
+        gm = grad.mean(axis=-1, keepdims=True)
+        gym = (grad * y).mean(axis=-1, keepdims=True)
+        return [inv * (grad - gm - y * gym)]
+
+    return add(mul(_finish("layer-norm", y, (x,), bw), g), b)
 
 
 def combine_rows(segments, size):
@@ -144,6 +165,54 @@ def test_attention_mask_cache_is_keyed_by_length_and_dtype():
         assert_bitwise(*fused)
 
 
+def untaped(f, leaves):
+    """``f``'s output on constant leaves with no tape open: nothing records."""
+    return f(*(Tensor(a.copy()) for a in leaves)).data
+
+
+@pytest.mark.parametrize("t", [33, 64, 100, 128, 160])
+def test_attention_tiles_past_one_tile_row(t):
+    """Several row tiles, a last tile of 1 to 32 rows. Without a tape the
+    output equals the recorded one bitwise. Up to T = 128 output and
+    gradients equal the full-row composition bitwise; at T = 33 (a one-row
+    tile) and past 128 (shorter row sums) they agree to 1e-14 at f64."""
+    for dtype in DTYPES:
+        rng = np.random.default_rng(t)
+        qkv = [rng.standard_normal((2, t, 8)).astype(dtype) for _ in range(3)]
+        fused = run_both(lambda q, k, v: causal_attention(q, k, v, 2),
+                         lambda q, k, v: composed_attention(q, k, v, 2), qkv, seed=t)
+        out = untaped(lambda q, k, v: causal_attention(q, k, v, 2), qkv)
+        assert out.dtype == dtype and np.array_equal(out, fused[0][0])
+        if t in (64, 100, 128):
+            assert_bitwise(*fused)
+        elif dtype == np.float64:
+            (out_f, grads_f), (out_c, grads_c) = fused
+            for got, want in zip([out_f] + grads_f, [out_c] + grads_c):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_attention_keeps_probabilities_only_when_it_records():
+    """Without a tape, or on a tape with no input requiring grad, the op
+    holds no (B, h, T, T) tensor; when it records, it keeps one."""
+    rng = np.random.default_rng(4)
+    b, t, d, h = 1, 512, 4, 2
+    qkv = [rng.standard_normal((b, t, d)) for _ in range(3)]
+    probabilities = b * h * t * t * 8
+
+    def peak(taped, requires_grad):
+        tracemalloc.start()
+        try:
+            with Tape() if taped else contextlib.nullcontext():
+                causal_attention(*(Tensor(a, requires_grad=requires_grad) for a in qkv), h)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(taped=False, requires_grad=True) < probabilities / 4
+    assert peak(taped=True, requires_grad=False) < probabilities / 4
+    assert peak(taped=True, requires_grad=True) >= probabilities
+
+
 def test_attention_is_causal():
     rng = np.random.default_rng(2)
     q, k, v = (rng.standard_normal((1, 5, 4)) for _ in range(3))
@@ -167,6 +236,30 @@ def test_attention_rejects_bad_shapes():
         causal_attention(a, Tensor(np.zeros((1, 3, 6))), a, 2)
     with pytest.raises(ShapeError, match="not divisible by 4 heads"):
         causal_attention(a, a, a, 4)
+
+
+# ---------------------------------------------------------------------------
+# affine layer norm
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(2, 7, 12), (3, 5), (1, 1, 4)])
+def test_affine_layer_norm_matches_composition_bitwise(dtype, shape):
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    d = shape[-1]
+    leaves = [rng.standard_normal(shape).astype(dtype),
+              (1.0 + 0.3 * rng.standard_normal(d)).astype(dtype),
+              (0.1 * rng.standard_normal(d)).astype(dtype)]
+    fused = run_both(affine_layer_norm, composed_layer_norm, leaves, seed=d)
+    assert_bitwise(*fused)
+    assert np.array_equal(untaped(affine_layer_norm, leaves), fused[0][0])
+
+
+def test_affine_layer_norm_records_one_tape_entry():
+    with Tape() as tape:
+        x = Tensor(np.ones((2, 3, 4)) + np.arange(4), requires_grad=True)
+        affine_layer_norm(x, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True))
+        assert len(tape) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +295,9 @@ def check_experts(indices, n, dtype, seed, d=6, d_exp=5):
         load(ps)
         return composed_experts(x, gates, indices, bank)
 
-    assert_bitwise(*run_both(fused, composed, leaves, seed))
+    results = run_both(fused, composed, leaves, seed)
+    assert_bitwise(*results)
+    assert np.array_equal(untaped(fused, leaves), results[0][0])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -686,7 +686,7 @@ class TestTraining:
         with pytest.raises(TrainAbort) as err:
             train(cfg4, resume_from=survivor, model_hook=bomb)
         # the step runs unguarded; its replay under the guard names the op
-        assert re.fullmatch(r"non-finite value at step 2 \(op 'add' produced non-finite values "
+        assert re.fullmatch(r"non-finite value at step 2 \(op 'affine-layer-norm' produced non-finite values "
                             rf"\(tape position \d+\)\); last checkpoint: {re.escape(survivor)}",
                             str(err.value))
         assert os.path.exists(survivor)
@@ -767,6 +767,16 @@ class TestRebuild:
         train(tiny_run_config(small_corpus, tmp_path / "again", steps=2, variant="s2moe"), resume_from=final)
         assert draws == [0]
 
+    def test_resume_zero_fills_no_adam_moment(self, small_corpus, tmp_path):
+        """A resume at ``steps`` holds the checkpoint's state once (parameters
+        and both moments), plus the corpus's bytes and one int32 id per byte:
+        two zero-filled moments per parameter would add two thirds of the state."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=1, d_model=64, n_experts=8, d_exp=512)
+        final = train(cfg).final_checkpoint
+        state = sum(a.nbytes for _, a in load_checkpoint(final).tensors)
+        _, peak = _traced_peak(lambda: train(cfg, resume_from=final))
+        assert peak <= 1.1 * (state + 5 * os.path.getsize(small_corpus))
+
     def test_eval_makes_no_train_ids(self, tmp_path):
         corpus = make_synthetic_corpus(str(tmp_path / "mib.txt"), n_bytes=1 << 20, seed=5)
         cfg = tiny_run_config(corpus, tmp_path / "run", steps=1, batch_size=32)
@@ -812,7 +822,7 @@ class TestEvaluate:
         corpus = ingest_corpus(cfg.corpus, cfg.splits)
         model = build_model(cfg, corpus)
         model.lnf_b.data[:] = np.nan
-        with pytest.raises(NonFiniteError, match=r"^op 'add' produced non-finite values$"):
+        with pytest.raises(NonFiniteError, match=r"^op 'affine-layer-norm' produced non-finite values$"):
             evaluate_model(model, corpus, cfg, k=2, split="val")
 
     def test_nonfinite_collapse_report_named_by_replay(self, small_corpus, tmp_path):

@@ -20,6 +20,7 @@ from s2moe.tensor import (
     Tape,
     Tensor,
     add,
+    affine_layer_norm,
     backward,
     causal_attention,
     cross_entropy_logits,
@@ -27,7 +28,6 @@ from s2moe.tensor import (
     expert_ffn,
     gather_rows,
     grad_check,
-    layernorm,
     matmul,
     mean,
     mul,
@@ -37,6 +37,7 @@ from s2moe.tensor import (
     set_nan_guard,
     sigmoid,
     softmax,
+    sub,
     tsum,
     transpose,
 )
@@ -162,6 +163,40 @@ class TestBackward:
         assert results[0][0] == results[1][0]
         np.testing.assert_array_equal(results[0][1], results[1][1])
 
+    @pytest.mark.parametrize("op", [add, sub, mul], ids=["add", "sub", "mul"])
+    def test_constant_operand_gets_no_gradient(self, op):
+        """The recorded backward forms no gradient for an operand that takes
+        none, on either side, broadcast or not; the other operand's is exact."""
+        rng = np.random.default_rng(3)
+        x0, c0 = rng.standard_normal((2, 3)), rng.standard_normal(3)
+        g = rng.standard_normal((2, 3))
+        for const_first in (False, True):
+            with Tape() as tape:
+                x, c = t64(x0, rg=True), t64(c0)
+                op(c, x) if const_first else op(x, c)
+                grads = tape._records[-1].backward_fn(g)
+            want = {add: g, sub: -g if const_first else g, mul: g * c0}[op]
+            assert grads[0 if const_first else 1] is None
+            np.testing.assert_array_equal(grads[1 if const_first else 0], want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_repeated_row_scatter_matches_row_wise_add_at(self, dtype):
+        """The flat scatter of ``gather_rows``' backward sums each element in
+        index order, as a row-wise ``np.add.at`` does: bitwise, signed zeros too."""
+        rng = np.random.default_rng(5)
+        ids = rng.integers(0, 6, size=(3, 9))
+        ids[0, :3] = 4  # one row taken three times
+        g = rng.standard_normal((3, 9, 5)).astype(dtype)
+        g[0, :3, 1] = -0.0  # an element summed from negative zeros alone
+        g[1, 2] = -0.0
+        want = np.zeros((6, 5), dtype=dtype)
+        np.add.at(want, ids, g)
+        with Tape():
+            table = Tensor(rng.standard_normal((6, 5)).astype(dtype), requires_grad=True)
+            backward(tsum(mul(gather_rows(table, ids), Tensor(g))))
+        assert table.grad.dtype == dtype
+        assert np.array_equal(table.grad, want) and np.array_equal(np.signbit(table.grad), np.signbit(want))
+
 
 class TestGradCheck:
     def test_constant_function_has_zero_error(self):
@@ -242,7 +277,9 @@ def test_primitive_gradients_match_finite_differences(seed):
         "div": lambda x: tsum(div(x, x * x + 2.0)),
         "sigmoid": lambda x: tsum(sigmoid(x)),
         "softmax": lambda x: tsum(mul(softmax(x, axis=-1), c1)),
-        "layer-norm": lambda x: tsum(mul(layernorm(x), c2)),
+        # the scale and shift are rows of x, so all three gradients are checked
+        "affine-layer-norm": lambda x: tsum(mul(affine_layer_norm(
+            x, reshape(gather_rows(x, np.array([1])), (d,)), reshape(gather_rows(x, np.array([2])), (d,))), c2)),
         "pow": lambda x: tsum(power(x * x + 1.0, 0.5)),
         "mean": lambda x: mean(x) + tsum(mean(mul(x, x), axis=-1)),
         "reshape/transpose": lambda x: tsum(mul(transpose(reshape(x, (d, 3)), (1, 0)), c3)),
@@ -293,14 +330,16 @@ def test_smooth_composition_invariant(seed):
     m = int(rng.integers(2, 17))
     w = Tensor(rng.standard_normal((d, m)), dtype=F64)
     c = Tensor(rng.standard_normal((rows, m)), dtype=F64)
+    point = t64(rng.standard_normal((rows, d)))
+    g, b = (Tensor(rng.standard_normal(d), dtype=F64) for _ in range(2))
 
     def f(x):
-        h = sigmoid(matmul(layernorm(x), w))
+        h = sigmoid(matmul(affine_layer_norm(x, g, b), w))
         xc = x - mean(x, axis=-1, keepdims=True)
         var = tsum(mean(mul(xc, xc), axis=-1))
         return tsum(mul(softmax(h, axis=-1), c)) + mean(x) + var * 0.1
 
-    err = grad_check(f, t64(rng.standard_normal((rows, d))), epsilon=1e-5)
+    err = grad_check(f, point, epsilon=1e-5)
     assert err < 1e-4
 
 

@@ -16,10 +16,16 @@ and a two-path layer, d=32, N=4, layer seeds 21 and 22, context stats from
 seed 23) at the probe vectors from seeds 1000 on. The Jacobian reports are
 equal when every report's text (or its refusal) and every array match.
 
+Each tree's process also runs one long-sequence eval: the logits of a fresh
+one-layer f64 s2moe model (seed 5) on two fixed sequences of T = 256, past
+the 128 positions of a desk run, where an attention tile sums a row over
+fewer columns than the full row.
+
 One line per variant and precision says equal or different, with the largest
-absolute difference over all checkpoint tensors, and one more line does the
-same for the Jacobian reports. Exit 0 when every run and the reports are
-equal, 1 when one differs, 2 when an argument is not a checkout.
+absolute difference over all checkpoint tensors, and one more line each does
+the same for the Jacobian reports and the long-sequence logits. Exit 0 when
+every run, the reports and the logits are equal, 1 when one differs, 2 when
+an argument is not a checkout.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ CORPUS_BYTES = 1_000_000
 # fields set on the desk preset for every run
 RUN = {"steps": 12, "seed": 3, "eval_interval": 2, "ckpt_interval": 4}
 PROBES = 60  # criterion-5 probe vectors per layer
+LONG_T = 256  # the long-sequence eval's length
 
 
 def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
@@ -78,6 +85,18 @@ def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
                      **{f"{name}:{tensor}": arr for name in _checkpoints(run_dir)
                         for tensor, arr in load_checkpoint(os.path.join(run_dir, name)).tensors})
     jacobian_reports(out, probes)
+    long_sequence_logits(out)
+
+
+def long_sequence_logits(out: str) -> None:
+    """``long.npz`` under ``out``: eval logits of a one-layer f64 model at T = ``LONG_T``."""
+    from s2moe.model import LanguageModel, ModelConfig
+
+    cfg = ModelConfig(n_layers=1, d_model=64, n_heads=4, d_exp=128, n_experts=4, seq_len=LONG_T,
+                      variant="s2moe", precision="f64", seed=5)
+    tokens = np.random.default_rng(CORPUS_SEED).integers(0, cfg.vocab_size, (2, LONG_T))
+    logits, _ = LanguageModel(cfg).lm_forward(tokens, "eval", k=2)
+    np.savez(os.path.join(out, "long.npz"), logits=logits.data)
 
 
 def jacobian_reports(out: str, probes: int) -> None:
@@ -189,9 +208,12 @@ def main(argv: list[str] | None = None) -> int:
         diff = _max_array_diff(a + ".npz", b + ".npz")
         jacobian_equal = _read(a + ".txt") == _read(b + ".txt") and diff == 0
         print(f"jacobian: {'equal' if jacobian_equal else 'different'}; max |array diff| {diff:.3g}")
+        long_diff = _max_array_diff(*(os.path.join(out, "long.npz") for out in outs))
+        print(f"long-sequence f64 T={LONG_T}: {'equal' if long_diff == 0 else 'different'}; "
+              f"max |logit diff| {long_diff:.3g}")
     total = len(VARIANTS) * len(PRECISIONS)
     print(f"parity: {equal} of {total} runs equal")
-    return 0 if equal == total and jacobian_equal else 1
+    return 0 if equal == total and jacobian_equal and long_diff == 0 else 1
 
 
 if __name__ == "__main__":
