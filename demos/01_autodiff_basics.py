@@ -2,9 +2,10 @@
 # -------------------------------------
 # The library computes on a small reverse-mode autodiff engine over numpy
 # arrays. Inside a `with Tape():` block ops record themselves on the tape;
-# backward() replays the records in reverse and deposits gradients on the
-# leaves. Outside a block nothing records, and leaving the block drops the
-# records, so the graph lives exactly as long as the block.
+# backward() replays the records in reverse, deposits gradients on the
+# leaves, and drops each record once it has run it, so an activation is freed
+# as soon as the backward has passed it. Outside a block nothing records, and
+# leaving the block drops whatever records remain.
 
 import numpy as np
 
@@ -32,8 +33,8 @@ err = grad_check(
 )
 print(f"finite-difference agreement: {err:.2e} (expect < 1e-4 at 64-bit)")
 
-# Calling backward twice without re-running forward is an error: the tape
-# was already consumed.
+# Calling backward twice without re-running forward is an error: the first
+# backward dropped the records the second one would need.
 with Tape():
     v = Tensor([1.5], dtype=np.float64, requires_grad=True)
     y = tsum(v * v)

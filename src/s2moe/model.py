@@ -15,7 +15,7 @@ import numpy as np
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
 from .stochastic import RngStream
-from .tensor import Tensor, add, affine_layer_norm, causal_attention, gather_rows, matmul, mul, transpose
+from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, mul, transpose
 
 
 @dataclass
@@ -125,20 +125,31 @@ class DecoderBlock:
 
     def forward(self, x: Tensor, k: int, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
         a = self.attn.forward(affine_layer_norm(x, self.ln1_g, self.ln1_b))
-        x = add(x, _dropout(a, self.dropout, rng))
+        x = _residual_dropout(x, a, self.dropout, rng)
         h = affine_layer_norm(x, self.ln2_g, self.ln2_b)
         m, aux = self.moe.forward(h, k, rng)
-        x = add(x, _dropout(m, self.dropout, rng))
+        x = _residual_dropout(x, m, self.dropout, rng)
         return x, aux
+
+
+def _dropout_mask(x: Tensor, p: float, rng: RngStream | None) -> np.ndarray | None:
+    """An inverted-dropout mask at rate p for x; None without a stream."""
+    if p <= 0.0 or rng is None:
+        return None
+    keep = 1.0 - p
+    return (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
 
 
 def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
     """Inverted dropout at rate p; the identity without a stream."""
-    if p <= 0.0 or rng is None:
-        return x
-    keep = 1.0 - p
-    mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
-    return mul(x, Tensor(mask))
+    mask = _dropout_mask(x, p, rng)
+    return x if mask is None else mul(x, Tensor(mask))
+
+
+def _residual_dropout(x: Tensor, a: Tensor, p: float, rng: RngStream | None) -> Tensor:
+    """``x + dropout(a)`` as one op."""
+    mask = _dropout_mask(a, p, rng)
+    return add(x, a) if mask is None else add_mul(x, a, mask)
 
 
 class LanguageModel:

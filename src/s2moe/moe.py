@@ -22,7 +22,7 @@ from .stochastic import (
     make_blend_gate,
     perturb,
 )
-from .tensor import Tensor, add, mean, mul, sub
+from .tensor import Tensor, mean, mix
 
 
 @dataclass
@@ -88,5 +88,4 @@ class S2MoeLayer(SmoeLayer):
 
     def mix(self, x: Tensor, y_clean: Tensor, y_noisy: Tensor) -> Tensor:
         """The two-path blend g(x) * y_clean + (1 - g(x)) * y_noisy."""
-        g = blend_gate(x, self.blend)
-        return add(mul(g, y_clean), mul(sub(Tensor(np.asarray(1.0, dtype=g.dtype)), g), y_noisy))
+        return mix(blend_gate(x, self.blend), y_clean, y_noisy)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul, mul, sigmoid
+from .tensor import Tensor, add, add_mul, matmul, sigmoid
 
 
 @dataclass
@@ -96,7 +96,7 @@ def perturb(x: Tensor, stats: NoiseStats, rng: RngStream) -> Tensor:
     sigma = np.broadcast_to(stats.sigma, shape)
     n1 = rng.normal(shape, loc=1.0, scale=sigma).astype(x.dtype)
     n2 = rng.normal(shape, loc=np.broadcast_to(stats.mu, shape), scale=sigma).astype(x.dtype)
-    return add(mul(x, Tensor(n1)), Tensor(n2))
+    return add_mul(Tensor(n2), x, n1)
 
 
 def blend_gate(x: Tensor, params: BlendGateParams) -> Tensor:

@@ -5,6 +5,11 @@ record themselves on the tape in execution order (which is a topological
 order), and ``backward`` replays the records in exact reverse order to
 accumulate gradients into the leaves. Outside every block nothing records.
 
+A record holds only what its backward reads, and ``backward`` drops each
+record once it has run it, so an activation is freed as soon as the backward
+has passed every op that reads it. Records a backward never reaches are
+dropped when the block exits.
+
 Precision is selectable per tensor: float32 is the training default, float64
 is used wherever gradients are verified against finite differences.
 """
@@ -61,7 +66,8 @@ class NonFiniteError(TensorError):
 
 
 class GraphError(TensorError):
-    """Misuse of the tape: detached tensors, double backward, non-scalar loss."""
+    """Misuse of the tape: detached tensors, a backward through records an
+    earlier backward dropped, non-scalar loss."""
 
 
 _nan_guard = True
@@ -85,7 +91,12 @@ def nan_guard(enabled: bool) -> Iterator[None]:
 
 
 class _Record:
-    """One tape entry: the op, its inputs, and how to push gradients back."""
+    """One tape entry: the op, its inputs, and how to push gradients back.
+
+    An input recorded on the same tape is kept as its node id, a leaf (or a
+    tensor from another tape) as the ``Tensor``, and an input that takes no
+    gradient as None, so a record pins no activation of its own.
+    """
 
     __slots__ = ("op", "inputs", "backward_fn")
 
@@ -100,13 +111,14 @@ class Tape:
 
     Ops record only inside a ``with Tape():`` block. Records are appended in
     execution order, so the list is topologically sorted by construction.
-    Leaving the block drops the records, so the graph lives exactly as long
-    as the block; a tape is entered once.
+    ``backward`` drops each record it runs, leaving None in its place, and
+    leaving the block drops the rest, so no part of the graph outlives the
+    block; a tape is entered once. Inside the block ``len`` counts every
+    record appended, run or not.
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
-        self._consumed: set[int] = set()
+        self._records: list[_Record | None] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -119,7 +131,6 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _tape_stack.pop()
         self._records = []
-        self._consumed = set()
 
     def append(self, record: _Record) -> int:
         self._records.append(record)
@@ -212,15 +223,18 @@ def _finish(op: str, out_data: np.ndarray, inputs: Sequence[Tensor],
         raise NonFiniteError(f"op '{op}' produced non-finite values{where}")
     if requires:
         out.tape = tape
-        out.node_id = tape.append(_Record(op, tuple(inputs), backward_fn))
+        kept = tuple(t.node_id if t.tape is tape else t if t.requires_grad else None for t in inputs)
+        out.node_id = tape.append(_Record(op, kept, backward_fn))
     return out
 
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every leaf that requires grad.
 
-    The loss must be a scalar recorded on the innermost open tape; a second
-    backward through the same node without re-running forward is rejected.
+    The loss must be a scalar recorded on the innermost open tape. Each
+    record is dropped once it has run, so a second backward that reaches a
+    record an earlier one ran (the same loss twice, or two losses sharing a
+    subgraph) is rejected: re-run the forward on a new tape instead.
     """
     tape = loss.tape
     if tape is None:
@@ -229,28 +243,29 @@ def backward(loss: Tensor) -> None:
         raise GraphError("backward: tensor's tape is no longer open (its block has exited)")
     if loss.data.size != 1:
         raise GraphError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if loss.node_id in tape._consumed:
-        raise GraphError("backward: already called for this node; re-run forward first")
 
+    records = tape._records
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     for idx in range(loss.node_id, -1, -1):
         g_out = grads.pop(idx, None)
         if g_out is None:
             continue
-        rec = tape._records[idx]
-        input_grads = rec.backward_fn(g_out)
-        for t, g in zip(rec.inputs, input_grads):
-            if g is None:
+        rec = records[idx]
+        if rec is None:
+            raise GraphError(f"backward: the record at tape position {idx} was already run and dropped "
+                             "by an earlier backward on this tape; re-run forward first")
+        records[idx] = None
+        for t, g in zip(rec.inputs, rec.backward_fn(g_out)):
+            if g is None or t is None:
                 continue
-            if t.tape is tape:
-                nid = t.node_id
-                if nid in grads:
-                    grads[nid] = grads[nid] + g
+            if type(t) is int:
+                if t in grads:
+                    grads[t] = grads[t] + g
                 else:
-                    grads[nid] = g
-            elif t.requires_grad:
+                    grads[t] = g
+            else:
                 t.grad = g if t.grad is None else t.grad + g
-    tape._consumed.add(loss.node_id)
+        rec = g_out = g = None  # hold nothing of this record into the next one's backward
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -276,6 +291,7 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 #
 # ``add``, ``sub`` and ``mul`` return no gradient for an operand that takes
 # none (a mask, a noise factor, a constant), so its product is never formed.
+# A backward closure captures arrays and shapes, never an input ``Tensor``.
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -283,10 +299,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast("add", a, b)
     out = a.data + b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return [_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None]
+        return [_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None]
 
     return _finish("add", out, (a, b), bw)
 
@@ -296,10 +313,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         _check_broadcast("sub", a, b)
     out = a.data - b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return [_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(-g, b.shape) if need_b else None]
+        return [_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(-g, b_shape) if need_b else None]
 
     return _finish("sub", out, (a, b), bw)
 
@@ -308,24 +326,66 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         _check_broadcast("mul", a, b)
     out = a.data * b.data
-    a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
+    # each operand's data is kept only for the other operand's gradient
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
 
     def bw(g):
-        return [_unbroadcast(g * b_data, a.shape) if need_a else None,
-                _unbroadcast(g * a_data, b.shape) if need_b else None]
+        return [_unbroadcast(g * b_data, a_shape) if need_a else None,
+                _unbroadcast(g * a_data, b_shape) if need_b else None]
 
     return _finish("mul", out, (a, b), bw)
+
+
+def add_mul(x: Tensor, a: Tensor, c: np.ndarray) -> Tensor:
+    """``x + a * c`` for a constant array ``c`` of ``a``'s shape (a dropout
+    mask, a noise factor), rounding as ``add(x, mul(a, Tensor(c)))`` does.
+    The record keeps ``c`` only, and only when ``a`` takes a gradient."""
+    if not x.shape == a.shape == np.shape(c):
+        raise ShapeError(f"add-mul: x {x.shape}, a {a.shape} and c {np.shape(c)} must share one shape")
+    out = a.data * c
+    out += x.data
+    need_x, need_a = x.requires_grad, a.requires_grad
+    c_kept = c if need_a else None
+
+    def bw(g):
+        return [g if need_x else None, g * c_kept if need_a else None]
+
+    return _finish("add-mul", out, (x, a), bw)
+
+
+def mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """``g * a + (1 - g) * b`` with a per-row weight ``g`` (..., 1) over
+    ``a`` and ``b`` (..., d), rounding as the composition of ``mul``, ``sub``,
+    ``mul`` and ``add`` does. ``g``'s gradient sums the ``b`` term first,
+    ``(-sum G*b) + sum G*a``, in the composition's tape order."""
+    if a.shape != b.shape or g.shape != a.shape[:-1] + (1,):
+        raise ShapeError(f"mix: weight {g.shape} and operands {a.shape}, {b.shape} do not conform")
+    g_data, a_data, b_data = g.data, a.data, b.data
+    rest = g.dtype.type(1.0) - g_data
+    out = g_data * a_data
+    out += rest * b_data
+    need_g, need_a, need_b = g.requires_grad, a.requires_grad, b.requires_grad
+    g_shape = g.shape
+
+    def bw(grad):
+        gg = -_unbroadcast(grad * b_data, g_shape) + _unbroadcast(grad * a_data, g_shape) if need_g else None
+        return [gg, grad * g_data if need_a else None, grad * rest if need_b else None]
+
+    return _finish("mix", out, (g, a, b), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast("div", a, b)
     out = a.data / b.data
     a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        ga = _unbroadcast(g / b_data, a.shape)
-        gb = _unbroadcast(-g * a_data / (b_data * b_data), b.shape)
+        ga = _unbroadcast(g / b_data, a_shape)
+        gb = _unbroadcast(-g * a_data / (b_data * b_data), b_shape)
         return [ga, gb]
 
     return _finish("div", out, (a, b), bw)
@@ -536,7 +596,7 @@ def affine_layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Ten
     y *= inv
     out = y * g.data if recording else np.multiply(y, g.data, out=y)
     out += b.data
-    g_data = g.data
+    g_data, g_shape, b_shape = g.data, g.shape, b.shape
     need_x, need_g, need_b = x.requires_grad, g.requires_grad, b.requires_grad
 
     def bw(grad):
@@ -547,8 +607,8 @@ def affine_layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Ten
             gym = (gy * y).mean(axis=-1, keepdims=True)
             gx = inv * (gy - gm - y * gym)
         return [gx,
-                _unbroadcast(grad * y, g.shape) if need_g else None,
-                _unbroadcast(grad, b.shape) if need_b else None]
+                _unbroadcast(grad * y, g_shape) if need_g else None,
+                _unbroadcast(grad, b_shape) if need_b else None]
 
     return _finish("affine-layer-norm", out, (x, g, b), bw)
 
@@ -579,8 +639,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     softmax times v into the output. Only when the op records are the
     (B, h, T, T) probabilities kept, zero right of each tile, and the
     backward reuses them and recomputes nothing. A tile reduces over its own
-    columns, not the whole row, so past T = 128 its row sums, and its
-    products at any T, may round apart from a full-row forward's.
+    columns, not the whole row, so past T = 128 its row sums and products
+    may round apart from a full-row forward's. A one-row remainder joins the
+    tile before it (33 rows when T = 1 mod 32): numpy runs a one-row product
+    on gemv, which rounds apart from a multi-row one.
     """
     if not q.shape == k.shape == v.shape or q.data.ndim != 3:
         raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
@@ -602,8 +664,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scale = q.dtype.type(1.0 / np.sqrt(dh))
     p = np.zeros((b, h, t, t), dtype=q.dtype) if _recording((q, k, v)) else None
     out = np.empty((b, t, h, dh), dtype=q.dtype)
-    for r0 in range(0, t, _TILE):
-        r1 = min(r0 + _TILE, t)
+    starts = list(range(0, t, _TILE))
+    if len(starts) > 1 and t - starts[-1] == 1:
+        starts.pop()
+    for r0, r1 in zip(starts, starts[1:] + [t]):
         s = qh[:, :, r0:r1] @ kt[..., :r1]
         s *= scale
         s[..., r0:] += _causal_mask(r1 - r0, q.dtype)
@@ -636,11 +700,12 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     its selected experts e = indices[r, j].
 
     A stable sort groups the (row, slot) pairs by expert with rows ascending,
-    and each expert runs its GEMMs on one contiguous slice of the gathered
-    rows. A row's contributions are summed from zero in ascending expert
-    order; the backward sums its dx in descending expert order. Experts no
-    row selects are never run and get no gradient. Each expert's hidden and
-    output slabs are kept for the backward only when the op records.
+    and each expert runs its GEMMs on its gathered rows. A row's
+    contributions are summed from zero in ascending expert order; the
+    backward sums its dx in descending expert order. Experts no row selects
+    are never run and get no gradient. Each expert's hidden and output slabs
+    are kept for the backward only when the op records; its gathered input
+    rows are not kept, the backward gathers them again.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -658,14 +723,14 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     rows, experts = order // (flat.size // m), flat[order]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
     used = [i for i in range(n) if bounds[i + 1] > bounds[i]]
-    slab = xf[rows]
     gate = gates.data.reshape(m, n)[rows, experts][:, None]
+    x_shape, gates_shape, gates_dtype = x.shape, gates.shape, gates.dtype
 
     out = np.zeros_like(xf)
     hidden, ys = {}, {}
     for i in used:
         lo, hi = bounds[i], bounds[i + 1]
-        hid = _gemm(slab[lo:hi], w1[i].data)
+        hid = _gemm(xf[rows[lo:hi]], w1[i].data)
         hid += b1[i].data
         np.maximum(hid, 0, out=hid)
         y = _gemm(hid, w2[i].data)
@@ -678,7 +743,7 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
         gs = g.reshape(m, d)[rows]
         gy = gs * gate
         gx = np.zeros_like(xf)
-        g_gate = np.zeros((m, n), dtype=gates.dtype)
+        g_gate = np.zeros((m, n), dtype=gates_dtype)
         gw1, gb1, gw2, gb2 = ([None] * n for _ in range(4))
         for i in reversed(used):
             lo, hi = bounds[i], bounds[i + 1]
@@ -689,11 +754,11 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
             gh = gyi @ w2[i].data.T
             gh *= hidden[i] > 0
             gb1[i] = gh.sum(axis=0)
-            gw1[i] = slab[lo:hi].T @ gh
+            gw1[i] = xf[rows[lo:hi]].T @ gh
             gx[rows[lo:hi]] += gh @ w1[i].data.T
-        return [gx.reshape(x.shape), g_gate.reshape(gates.shape), *gw1, *gb1, *gw2, *gb2]
+        return [gx.reshape(x_shape), g_gate.reshape(gates_shape), *gw1, *gb1, *gw2, *gb2]
 
-    return _finish("expert-ffn", out.reshape(x.shape), inputs, bw)
+    return _finish("expert-ffn", out.reshape(x_shape), inputs, bw)
 
 
 def cross_entropy_logits(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -181,7 +181,7 @@ def _step(model: LanguageModel, cfg: RunConfig, x, y, k: int, step: int):
     start over from (seed, step), so a replay repeats them."""
     rng = RngStream((cfg.seed << 8) + _STREAM_FORWARD, counter=step * _FORWARD_STRIDE)
     with Tape():
-        _, auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)
+        auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)[1:]  # no logits held through backward
         model.zero_grad()
         backward(total)
     return auxes, nats, bal, unc, total, clip_global_norm(model.parameters(), cfg.grad_clip)
@@ -333,6 +333,8 @@ def train(cfg: RunConfig, resume_from: str | None = None,
                 if log:
                     log(f"step {step} bpc {row.bpc:.4f} balance {row.balance:.4f} "
                         f"uncert {row.uncertainty:.5f} k {k}")
+            # the auxes pin each layer's input and routing: free them before the next forward
+            del auxes, nats, bal, unc, total
 
             if (step + 1) % cfg.ckpt_interval == 0 or step == cfg.steps - 1:
                 last_ckpt = os.path.join(cfg.out_dir, f"ckpt-{step + 1:07d}.bin")

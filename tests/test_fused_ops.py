@@ -1,9 +1,9 @@
-"""The fused primitives, ``causal_attention``, ``affine_layer_norm`` and
-``expert_ffn``, against the compositions of small ops they replace: the output
-and every input gradient must be bitwise equal, at f32 and f64 (attention
-past one tile row within the stated rounding). A fused op's output without a
-tape equals its recorded output. A non-finite value inside an op is still
-named by the NaN replay."""
+"""The fused primitives, ``causal_attention``, ``affine_layer_norm``,
+``expert_ffn``, ``add_mul`` and ``mix``, against the compositions of small ops
+they replace: the output and every input gradient must be bitwise equal, at
+f32 and f64 (attention past T = 128 within the stated rounding). A fused
+op's output without a tape equals its recorded output. A non-finite value
+inside an op is still named by the NaN replay."""
 
 import contextlib
 import re
@@ -22,15 +22,19 @@ from s2moe.tensor import (
     Tensor,
     _finish,
     add,
+    add_mul,
     affine_layer_norm,
     backward,
     causal_attention,
     expert_ffn,
     gather_rows,
     matmul,
+    mix,
     mul,
     reshape,
+    sigmoid,
     softmax,
+    sub,
     transpose,
     tsum,
 )
@@ -170,12 +174,13 @@ def untaped(f, leaves):
     return f(*(Tensor(a.copy()) for a in leaves)).data
 
 
-@pytest.mark.parametrize("t", [33, 64, 100, 128, 160])
+@pytest.mark.parametrize("t", [33, 64, 65, 97, 100, 128, 160])
 def test_attention_tiles_past_one_tile_row(t):
-    """Several row tiles, a last tile of 1 to 32 rows. Without a tape the
-    output equals the recorded one bitwise. Up to T = 128 output and
-    gradients equal the full-row composition bitwise; at T = 33 (a one-row
-    tile) and past 128 (shorter row sums) they agree to 1e-14 at f64."""
+    """Several row tiles, a last tile of 2 to 33 rows (a one-row remainder
+    joins the tile before). Without a tape the output equals the recorded
+    one bitwise. Up to T = 128 output and gradients equal the full-row
+    composition bitwise; past 128 (shorter row sums) they agree to 1e-14 at
+    f64."""
     for dtype in DTYPES:
         rng = np.random.default_rng(t)
         qkv = [rng.standard_normal((2, t, 8)).astype(dtype) for _ in range(3)]
@@ -183,7 +188,7 @@ def test_attention_tiles_past_one_tile_row(t):
                          lambda q, k, v: composed_attention(q, k, v, 2), qkv, seed=t)
         out = untaped(lambda q, k, v: causal_attention(q, k, v, 2), qkv)
         assert out.dtype == dtype and np.array_equal(out, fused[0][0])
-        if t in (64, 100, 128):
+        if t <= 128:
             assert_bitwise(*fused)
         elif dtype == np.float64:
             (out_f, grads_f), (out_c, grads_c) = fused
@@ -260,6 +265,70 @@ def test_affine_layer_norm_records_one_tape_entry():
         x = Tensor(np.ones((2, 3, 4)) + np.arange(4), requires_grad=True)
         affine_layer_norm(x, Tensor(np.ones(4), requires_grad=True), Tensor(np.zeros(4), requires_grad=True))
         assert len(tape) == 1
+
+
+# ---------------------------------------------------------------------------
+# residual dropout-add and noise perturbation: x + a * c
+
+
+def composed_add_mul(x, a, c):
+    return add(x, mul(a, Tensor(c)))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("x_takes_grad", [True, False], ids=["residual", "perturb"])
+def test_add_mul_matches_composition_bitwise(dtype, x_takes_grad):
+    """As the block's dropout-add (x a recorded input, c a dropout mask) and
+    as ``perturb``'s ``x * n1 + n2`` (the constant n2 in x's place)."""
+    rng = np.random.default_rng(7)
+    shape = (2, 5, 6)
+    x, a = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    c = ((rng.uniform(size=shape) < 0.9).astype(dtype) / 0.9 if x_takes_grad
+         else rng.normal(1.0, 0.3, size=shape).astype(dtype))
+    if x_takes_grad:
+        fused = run_both(lambda x, a: add_mul(x, a, c), lambda x, a: composed_add_mul(x, a, c), [x, a], seed=1)
+    else:
+        fused = run_both(lambda a: add_mul(Tensor(x), a, c), lambda a: composed_add_mul(Tensor(x), a, c), [a], seed=1)
+    assert_bitwise(*fused)
+
+
+def test_add_mul_records_one_entry_and_rejects_bad_shapes():
+    with Tape() as tape:
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        add_mul(Tensor(np.ones((2, 3))), a, np.full((2, 3), 2.0))
+        assert len(tape) == 1
+    with pytest.raises(ShapeError, match="add-mul"):
+        add_mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# the two-path blend: g * a + (1 - g) * b
+
+
+def composed_mix(g, a, b):
+    return add(mul(g, a), mul(sub(Tensor(np.asarray(1.0, dtype=g.dtype)), g), b))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_mix_matches_composition_bitwise(dtype):
+    """The weight is a sigmoid output, as the blend gate makes it, so its two
+    gradient terms meet on the tape, not in a leaf."""
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((2, 5, 1)).astype(dtype)
+    a, b = (rng.standard_normal((2, 5, 6)).astype(dtype) for _ in range(2))
+    fused = run_both(lambda z, a, b: mix(sigmoid(z), a, b),
+                     lambda z, a, b: composed_mix(sigmoid(z), a, b), [z, a, b], seed=2)
+    assert_bitwise(*fused)
+    assert np.array_equal(untaped(lambda z, a, b: mix(sigmoid(z), a, b), [z, a, b]), fused[0][0])
+
+
+def test_mix_records_one_entry_and_rejects_bad_shapes():
+    a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    with Tape() as tape:
+        mix(Tensor(np.full((2, 3, 1), 0.25), requires_grad=True), a, a)
+        assert len(tape) == 1
+    with pytest.raises(ShapeError, match="mix"):
+        mix(Tensor(np.ones((2, 3, 4))), a, a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Decoder LM tests: causality, a straight-line forward oracle, k switching."""
 
 import dataclasses
+import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from s2moe.config import RunConfig
+from s2moe.config import RunConfig, preset
 from s2moe.data import Corpus
 from s2moe.model import LanguageModel, ModelConfig
 from s2moe.stochastic import RngStream
@@ -231,3 +233,25 @@ def grad_check_param(model, param, tokens, targets, epsilon=1e-5):
     numeric = numeric.reshape(param.data.shape)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def test_training_step_holds_only_what_its_backward_reads():
+    """One s2moe f32 training step at T = 512 (1 layer, d = 64, 4 heads, 4
+    experts, batch 2) peaks well below what the graph held when records kept
+    their inputs to the block's exit and the glue ran as separate ops
+    (39.6 MiB then, 27.3 MiB when this bound was set)."""
+    train_mod = importlib.import_module("s2moe.train")
+    cfg = dataclasses.replace(preset("desk"), n_layers=1, d_model=64, n_heads=4, d_exp=128,
+                              n_experts=4, seq_len=512, batch_size=2, variant="s2moe",
+                              precision="f32", vocab_size=257)
+    model = LanguageModel(cfg.model_config())
+    rng = np.random.default_rng(0)
+    x, y = (rng.integers(0, 257, (2, 512)) for _ in range(2))
+    train_mod._step(model, cfg, x, y, cfg.k_train, 0)  # caches and lazy allocations
+    tracemalloc.start()
+    try:
+        train_mod._step(model, cfg, x, y, cfg.k_train, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, f"step peak {peak / 2**20:.1f} MiB"

@@ -360,22 +360,41 @@ def test_nothing_records_outside_a_tape():
 
 class TestTapeLifetime:
     def test_intermediates_freed_when_block_exits(self):
-        # no cyclic GC pass may run: the block's exit alone must free the graph
+        """An intermediate is freed as soon as the backward has run the ops
+        that read it, and at the block's exit when no backward runs. No
+        cyclic GC pass may run: dropping the records alone must free it."""
         enabled = gc.isenabled()
         gc.disable()
         try:
+            x = t64([1.0, 2.0], rg=True)
             with Tape():
-                x = t64([1.0, 2.0], rg=True)
                 h = mul(x, x)
                 alive = weakref.ref(h.data)
                 loss = tsum(mul(h, h))
                 del h
+                assert alive() is not None
                 backward(loss)
+                assert alive() is None
+            with Tape():
+                h = mul(x, x)
+                alive = weakref.ref(h.data)
+                tsum(mul(h, h))
+                del h
                 assert alive() is not None
             assert alive() is None
         finally:
             if enabled:
                 gc.enable()
+
+    def test_backward_through_dropped_records_rejected(self):
+        """Two losses sharing a subgraph: the first backward drops the shared
+        records, and the second is refused by name when it reaches them."""
+        with Tape():
+            x = t64([1.0, 2.0], rg=True)
+            h = mul(x, x)
+            backward(tsum(h))
+            with pytest.raises(GraphError, match="already run and dropped by an earlier backward"):
+                backward(tsum(mul(h, h)))
 
     def test_backward_after_block_exit_rejected(self):
         with Tape():
