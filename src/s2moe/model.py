@@ -15,7 +15,7 @@ import numpy as np
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
 from .stochastic import RngStream
-from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, mul, transpose
+from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, transpose
 
 
 @dataclass
@@ -132,24 +132,25 @@ class DecoderBlock:
         return x, aux
 
 
-def _dropout_mask(x: Tensor, p: float, rng: RngStream | None) -> np.ndarray | None:
-    """An inverted-dropout mask at rate p for x; None without a stream."""
+def _dropout_mask(x: Tensor, p: float, rng: RngStream | None) -> tuple[np.ndarray, np.floating] | None:
+    """An inverted-dropout keep-mask at rate p for x, as a bool array and the
+    dtype's ``1 / keep``; None without a stream."""
     if p <= 0.0 or rng is None:
         return None
     keep = 1.0 - p
-    return (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
+    return rng.uniform(x.shape) < keep, x.dtype.type(1.0) / x.dtype.type(keep)
 
 
 def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:
     """Inverted dropout at rate p; the identity without a stream."""
-    mask = _dropout_mask(x, p, rng)
-    return x if mask is None else mul(x, Tensor(mask))
+    drop = _dropout_mask(x, p, rng)
+    return x if drop is None else add_mul(None, x, *drop)
 
 
 def _residual_dropout(x: Tensor, a: Tensor, p: float, rng: RngStream | None) -> Tensor:
     """``x + dropout(a)`` as one op."""
-    mask = _dropout_mask(a, p, rng)
-    return add(x, a) if mask is None else add_mul(x, a, mask)
+    drop = _dropout_mask(a, p, rng)
+    return add(x, a) if drop is None else add_mul(x, a, *drop)
 
 
 class LanguageModel:

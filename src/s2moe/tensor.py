@@ -339,21 +339,38 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _finish("mul", out, (a, b), bw)
 
 
-def add_mul(x: Tensor, a: Tensor, c: np.ndarray) -> Tensor:
-    """``x + a * c`` for a constant array ``c`` of ``a``'s shape (a dropout
-    mask, a noise factor), rounding as ``add(x, mul(a, Tensor(c)))`` does.
-    The record keeps ``c`` only, and only when ``a`` takes a gradient."""
-    if not x.shape == a.shape == np.shape(c):
-        raise ShapeError(f"add-mul: x {x.shape}, a {a.shape} and c {np.shape(c)} must share one shape")
+def add_mul(x: Tensor | None, a: Tensor, c: np.ndarray, scale: np.floating | None = None) -> Tensor:
+    """``x + (a * c) * scale`` for a constant array ``c`` of ``a``'s shape,
+    rounding as ``add(x, mul(a, Tensor(c)) * scale)`` does; with ``x``
+    None there is no add, with ``scale`` None no scaling.
+
+    Every dropout runs on it, with ``c`` a bool keep-mask and ``scale`` the
+    dtype's ``1 / keep``: ``(a * mask) * scale`` equals ``a * (mask / keep)``
+    bit for bit, signed zeros and NaN under dropped positions included, and
+    the mask costs one byte an element. ``perturb``'s ``x * n1 + n2`` runs
+    on it too (the constant n2 in x's place). The record keeps ``c`` only,
+    and only when ``a`` takes a gradient."""
+    has_x = x is not None
+    if a.shape != np.shape(c) or (has_x and x.shape != a.shape):
+        raise ShapeError(f"add-mul: x {x.shape if has_x else None}, a {a.shape} and c {np.shape(c)} "
+                         "must share one shape")
     out = a.data * c
-    out += x.data
-    need_x, need_a = x.requires_grad, a.requires_grad
+    if scale is not None:
+        out *= scale
+    if has_x:
+        out += x.data
+    need_x, need_a = has_x and x.requires_grad, a.requires_grad
     c_kept = c if need_a else None
 
     def bw(g):
-        return [g if need_x else None, g * c_kept if need_a else None]
+        ga = None
+        if need_a:
+            ga = g * c_kept
+            if scale is not None:
+                ga *= scale
+        return [g if need_x else None, ga] if has_x else [ga]
 
-    return _finish("add-mul", out, (x, a), bw)
+    return _finish("add-mul", out, (x, a) if has_x else (a,), bw)
 
 
 def mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
@@ -600,15 +617,18 @@ def affine_layer_norm(x: Tensor, g: Tensor, b: Tensor, eps: float = 1e-5) -> Ten
     need_x, need_g, need_b = x.requires_grad, g.requires_grad, b.requires_grad
 
     def bw(grad):
-        gx = None
-        if need_x:
+        gx = tmp = None
+        if need_x:  # inv * (gy - gm - y * gym), in gy's buffer and one temporary
             gy = grad * g_data
             gm = gy.mean(axis=-1, keepdims=True)
-            gym = (gy * y).mean(axis=-1, keepdims=True)
-            gx = inv * (gy - gm - y * gym)
-        return [gx,
-                _unbroadcast(grad * y, g_shape) if need_g else None,
-                _unbroadcast(grad, b_shape) if need_b else None]
+            tmp = gy * y
+            gym = tmp.mean(axis=-1, keepdims=True)
+            gy -= gm
+            gy -= np.multiply(y, gym, out=tmp)
+            gy *= inv
+            gx = gy
+        gg = _unbroadcast(np.multiply(grad, y, out=tmp), g_shape) if need_g else None
+        return [gx, gg, _unbroadcast(grad, b_shape) if need_b else None]
 
     return _finish("affine-layer-norm", out, (x, g, b), bw)
 
@@ -630,19 +650,31 @@ def _causal_mask(t: int, dtype) -> np.ndarray:
 _TILE = 32  # query rows per causal attention tile
 
 
+def _tiles(t: int) -> list[tuple[int, int]]:
+    """Row ranges of ``_TILE`` query rows over a length-t sequence. A one-row
+    remainder joins the tile before it: numpy runs a one-row product on
+    gemv, which rounds apart from a multi-row one."""
+    starts = list(range(0, t, _TILE))
+    if len(starts) > 1 and t - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [t]))
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal attention over (B, T, d) projections: per head,
     softmax(q k^T / sqrt(dh) + mask) v, with the heads merged back to d.
 
-    The forward runs in tiles of ``_TILE`` query rows. A tile scores only the
-    columns up to its last row, masks its diagonal block, and writes its
-    softmax times v into the output. Only when the op records are the
-    (B, h, T, T) probabilities kept, zero right of each tile, and the
-    backward reuses them and recomputes nothing. A tile reduces over its own
-    columns, not the whole row, so past T = 128 its row sums and products
-    may round apart from a full-row forward's. A one-row remainder joins the
-    tile before it (33 rows when T = 1 mod 32): numpy runs a one-row product
-    on gemv, which rounds apart from a multi-row one.
+    The forward runs in tiles of ``_TILE`` query rows (see ``_tiles``). A
+    tile scores only the columns up to its last row, masks its diagonal
+    block, and writes its softmax times v into the output. A tile reduces
+    over its own columns, not the whole row, so past T = 128 its row sums and
+    products may round apart from a full-row forward's.
+
+    When the op records it keeps each query row's max and exp-sum, (B, h, T,
+    1) each, and no probabilities. Its backward rebuilds the (B, h, T, T)
+    probabilities, zero right of each tile, with the forward's own tile ops
+    on the same inputs, so they equal the forward's bit for bit; they live
+    only while that backward runs.
     """
     if not q.shape == k.shape == v.shape or q.data.ndim != 3:
         raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
@@ -661,31 +693,47 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     # q and v stay strided views: BLAS reads each head's rows in place
     qh, vh = split(q.data), split(v.data)
     kt = np.ascontiguousarray(k.data.reshape(b, t, h, dh).transpose(0, 2, 3, 1))  # (B, h, dh, T)
-    scale = q.dtype.type(1.0 / np.sqrt(dh))
-    p = np.zeros((b, h, t, t), dtype=q.dtype) if _recording((q, k, v)) else None
-    out = np.empty((b, t, h, dh), dtype=q.dtype)
-    starts = list(range(0, t, _TILE))
-    if len(starts) > 1 and t - starts[-1] == 1:
-        starts.pop()
-    for r0, r1 in zip(starts, starts[1:] + [t]):
+    dtype = q.dtype
+    scale = dtype.type(1.0 / np.sqrt(dh))
+    tiles = _tiles(t)
+
+    def scores(r0, r1):  # one tile's scaled, masked scores, (B, h, r1 - r0, r1)
         s = qh[:, :, r0:r1] @ kt[..., :r1]
         s *= scale
-        s[..., r0:] += _causal_mask(r1 - r0, q.dtype)
-        s -= s.max(axis=-1, keepdims=True)
+        s[..., r0:] += _causal_mask(r1 - r0, dtype)
+        return s
+
+    recording = _recording((q, k, v))
+    row_max = np.empty((b, h, t, 1), dtype=dtype) if recording else None
+    row_sum = np.empty((b, h, t, 1), dtype=dtype) if recording else None
+    out = np.empty((b, t, h, dh), dtype=dtype)
+    for r0, r1 in tiles:
+        s = scores(r0, r1)
+        top = s.max(axis=-1, keepdims=True)
+        s -= top
         np.exp(s, out=s)
-        s /= s.sum(axis=-1, keepdims=True)
+        total = s.sum(axis=-1, keepdims=True)
+        s /= total
         out[:, r0:r1] = (s @ vh[:, :, :r1]).transpose(0, 2, 1, 3)
-        if p is not None:
-            p[:, :, r0:r1, :r1] = s
+        if recording:
+            row_max[:, :, r0:r1], row_sum[:, :, r0:r1] = top, total
 
     def bw(g):
+        p = np.zeros((b, h, t, t), dtype=dtype)
+        for r0, r1 in tiles:
+            s = scores(r0, r1)
+            s -= row_max[:, :, r0:r1]
+            np.exp(s, out=s)
+            s /= row_sum[:, :, r0:r1]
+            p[:, :, r0:r1, :r1] = s
         gh = np.ascontiguousarray(split(g))
         gp = gh @ np.ascontiguousarray(vh.transpose(0, 1, 3, 2))
         gv = p.transpose(0, 1, 3, 2) @ gh
-        # softmax backward from the saved output, then the scale
-        gp -= (gp * p).sum(axis=-1, keepdims=True)
-        gp *= p
-        gp *= scale
+        for r0, r1 in tiles:  # softmax backward one row tile at a time, then the scale
+            gpt, pt = gp[:, :, r0:r1], p[:, :, r0:r1]
+            gpt -= (gpt * pt).sum(axis=-1, keepdims=True)
+            gpt *= pt
+            gpt *= scale
         gq = gp @ np.ascontiguousarray(kt.transpose(0, 1, 3, 2))
         gk = (qh.transpose(0, 1, 3, 2) @ gp).transpose(0, 1, 3, 2)
         return [merge(gq), merge(gk), merge(gv)]
@@ -705,7 +753,9 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     backward sums its dx in descending expert order. Experts no row selects
     are never run and get no gradient. Each expert's hidden and output slabs
     are kept for the backward only when the op records; its gathered input
-    rows are not kept, the backward gathers them again.
+    rows are not kept, the backward gathers them again. The backward gathers
+    each expert's output-gradient rows inside its loop, so it holds one
+    expert's rows at a time, never the whole batch's k slots.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -740,15 +790,15 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
             hidden[i], ys[i] = hid, y
 
     def bw(g):
-        gs = g.reshape(m, d)[rows]
-        gy = gs * gate
+        g = g.reshape(m, d)
         gx = np.zeros_like(xf)
         g_gate = np.zeros((m, n), dtype=gates_dtype)
         gw1, gb1, gw2, gb2 = ([None] * n for _ in range(4))
         for i in reversed(used):
             lo, hi = bounds[i], bounds[i + 1]
-            g_gate[rows[lo:hi], i] = (gs[lo:hi] * ys[i]).sum(axis=1)
-            gyi = gy[lo:hi]
+            gs = g[rows[lo:hi]]
+            g_gate[rows[lo:hi], i] = (gs * ys[i]).sum(axis=1)
+            gyi = gs * gate[lo:hi]
             gb2[i] = gyi.sum(axis=0)
             gw2[i] = hidden[i].T @ gyi
             gh = gyi @ w2[i].data.T

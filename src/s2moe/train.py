@@ -95,19 +95,45 @@ class Adam:
         moment = np.zeros_like if init else (lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
         self.m = [Tensor(moment(t.data)) for _, t in self.named]
         self.v = [Tensor(moment(t.data)) for _, t in self.named]
+        self._scratch: list[tuple[np.ndarray, np.ndarray]] | None = None
+
+    def _buffers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per parameter, two scratch arrays of its shape and dtype: views
+        into two flat buffers per dtype that this optimizer owns and reuses
+        every step. A 0-d parameter gets 0-d arrays, which ``out=`` takes; a
+        ufunc on 0-d inputs returns a numpy scalar, which it does not."""
+        if self._scratch is None:
+            sizes = {}
+            for _, p in self.named:
+                sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+            flat = {dtype: np.empty((2, size), dtype=dtype) for dtype, size in sizes.items()}
+            self._scratch = [tuple(flat[p.dtype][i, :p.size].reshape(p.shape) for i in range(2))
+                             for _, p in self.named]
+        return self._scratch
 
     def step(self, t: int) -> None:
+        """``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment
+        updates, every product formed in the scratch buffers, rounding as
+        that expression does."""
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
-        for (_, p), m, v in zip(self.named, self.m, self.v):
+        for (_, p), m, v, (tmp, step) in zip(self.named, self.m, self.v, self._buffers()):
             if not p.requires_grad or p.grad is None:
                 continue
             g = p.grad
             m.data *= self.beta1
-            m.data += (1.0 - self.beta1) * g
+            m.data += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v.data *= self.beta2
-            v.data += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m.data / c1) / (np.sqrt(v.data / c2) + self.eps)
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            v.data += tmp
+            np.divide(v.data, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m.data, c1, out=step)
+            step *= self.lr
+            step /= tmp
+            p.data = p.data - step
 
     def state(self) -> list[tuple[str, Tensor]]:
         """``adam.m.<name>`` then ``adam.v.<name>`` for each parameter, in order."""

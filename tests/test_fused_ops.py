@@ -14,6 +14,7 @@ import pytest
 
 from conftest import tiny_run_config
 from s2moe.experts import ExpertBank
+from s2moe.model import _dropout, _residual_dropout
 from s2moe.routing import make_router, route
 from s2moe.stochastic import RngStream
 from s2moe.tensor import (
@@ -31,6 +32,7 @@ from s2moe.tensor import (
     matmul,
     mix,
     mul,
+    nan_guard,
     reshape,
     sigmoid,
     softmax,
@@ -196,9 +198,10 @@ def test_attention_tiles_past_one_tile_row(t):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-def test_attention_keeps_probabilities_only_when_it_records():
-    """Without a tape, or on a tape with no input requiring grad, the op
-    holds no (B, h, T, T) tensor; when it records, it keeps one."""
+def test_attention_keeps_row_statistics_not_probabilities():
+    """No forward holds a (B, h, T, T) tensor: without a tape, on a tape with
+    no input requiring grad, or recording. A recorded forward keeps each
+    row's max and exp-sum, and its backward rebuilds the probabilities."""
     rng = np.random.default_rng(4)
     b, t, d, h = 1, 512, 4, 2
     qkv = [rng.standard_normal((b, t, d)) for _ in range(3)]
@@ -215,7 +218,7 @@ def test_attention_keeps_probabilities_only_when_it_records():
 
     assert peak(taped=False, requires_grad=True) < probabilities / 4
     assert peak(taped=True, requires_grad=False) < probabilities / 4
-    assert peak(taped=True, requires_grad=True) >= probabilities
+    assert peak(taped=True, requires_grad=True) < probabilities / 4
 
 
 def test_attention_is_causal():
@@ -299,6 +302,55 @@ def test_add_mul_records_one_entry_and_rejects_bad_shapes():
         assert len(tape) == 1
     with pytest.raises(ShapeError, match="add-mul"):
         add_mul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))), np.ones(3))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("residual", [True, False], ids=["residual", "embedding"])
+def test_byte_mask_dropout_matches_float_mask_bitwise(dtype, residual):
+    """Dropout as ``add_mul`` with a bool keep-mask and the dtype's ``1 /
+    keep`` against ``mul`` by the float mask ``mask / keep`` (after which the
+    residual form adds x): output and every gradient equal bit for bit, with
+    a negative entry, -0.0 and NaN under dropped positions (guard off)."""
+    rng = np.random.default_rng(13)
+    shape, keep = (2, 5, 6), 0.9
+    x, a = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    mask = rng.uniform(size=shape) < keep
+    mask.flat[:4] = False, False, False, True
+    a.flat[:4] = -2.5, -0.0, np.nan, -0.0  # three dropped, the last kept
+    scale = dtype(1.0) / dtype(keep)
+    float_mask = mask.astype(dtype) / keep
+    if residual:
+        fused, composed, leaves = (lambda x, a: add_mul(x, a, mask, scale),
+                                   lambda x, a: add(x, mul(a, Tensor(float_mask))), [x, a])
+    else:
+        fused, composed, leaves = (lambda a: add_mul(None, a, mask, scale),
+                                   lambda a: mul(a, Tensor(float_mask)), [a])
+    with nan_guard(False):
+        (out_f, grads_f), (out_c, grads_c) = run_both(fused, composed, leaves, seed=3)
+    assert out_f.dtype == dtype and out_f.tobytes() == out_c.tobytes()
+    assert np.isnan(out_f.flat[2])
+    if not residual:
+        assert out_f.flat[1] == 0 and np.signbit(out_f.flat[:2]).all() and np.signbit(out_f.flat[3])
+    assert len(grads_f) == len(leaves)
+    for gf, gc in zip(grads_f, grads_c):
+        assert gf.dtype == gc.dtype and gf.tobytes() == gc.tobytes()
+    with nan_guard(False), Tape() as tape:
+        fused(*(Tensor(leaf, requires_grad=True) for leaf in leaves))
+        assert len(tape) == 1
+
+
+def test_model_dropout_draws_the_float_mask_it_replaced():
+    """The model's dropout helpers, on one stream, give what ``mul`` by the
+    old float mask ``(u < keep).astype(dtype) / keep`` gave."""
+    for dtype in DTYPES:
+        rng = np.random.default_rng(17)
+        x, a = (Tensor(rng.standard_normal((3, 4, 8)).astype(dtype)) for _ in range(2))
+        u = RngStream(5).uniform(a.shape)
+        float_mask = (u < 0.9).astype(dtype) / 0.9
+        dropped = _dropout(a, 0.1, RngStream(5)).data
+        added = _residual_dropout(x, a, 0.1, RngStream(5)).data
+        assert dropped.tobytes() == (a.data * float_mask).tobytes()
+        assert added.tobytes() == (x.data + a.data * float_mask).tobytes()
 
 
 # ---------------------------------------------------------------------------

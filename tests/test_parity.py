@@ -1,6 +1,7 @@
 """``tools/parity.py`` on one tree against itself, at a tiny size: every
-variant and precision, the Jacobian reports and the long-sequence logits are
-equal; and a run whose probe text alone differs is told apart."""
+variant and precision, the Jacobian reports, the long-sequence logits and
+the T = 512 training-step gradients are equal; and a run whose probe text
+alone differs is told apart."""
 
 import importlib.util
 import pathlib
@@ -21,10 +22,11 @@ def test_tree_against_itself_is_equal(monkeypatch, capsys):
     monkeypatch.setattr(parity, "PROBES", 2)
     assert parity.main([str(ROOT), str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 13 and lines[-1] == "parity: 10 of 10 runs equal"
-    assert all(": equal; max |tensor diff| 0" in line for line in lines[:-3])
-    assert lines[-3] == "jacobian: equal; max |array diff| 0"
-    assert lines[-2] == "long-sequence f64 T=256: equal; max |logit diff| 0"
+    assert len(lines) == 14 and lines[-1] == "parity: 10 of 10 runs equal"
+    assert all(": equal; max |tensor diff| 0" in line for line in lines[:-4])
+    assert lines[-4] == "jacobian: equal; max |array diff| 0"
+    assert lines[-3] == "long-sequence f64 T=256: equal; max |logit diff| 0"
+    assert lines[-2] == "training step T=512 f32+f64: equal; max |gradient diff| 0"
 
 
 def test_refuses_a_path_without_source(tmp_path, capsys):

@@ -180,6 +180,37 @@ class TestXmoe:
         with pytest.raises(ValueError):
             smoe_router(4, 6, variant="xmoe", d_low=6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_adam_steps_the_0d_temperature_as_its_expression_does(self, dtype):
+        """Adam's scratch buffers take the 0-d ``tau_r`` and its gradient (a
+        numpy scalar, from ``div``'s full reduction): every parameter and
+        moment equals the update expression's, bit for bit, over four steps."""
+        params = smoe_router(4, 6, variant="xmoe", d_low=3, dtype=dtype)
+        named, tau = params.parameters(), params.tau_r.data.copy()
+        adam = Adam(named, lr=0.05)
+        ref = [[t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data)] for _, t in named]
+        rng = np.random.default_rng(6)
+        for step in range(1, 5):
+            with Tape():
+                for _, t in named:
+                    t.zero_grad()
+                x = Tensor(rng.standard_normal((1, 5, 6)), dtype=dtype)
+                backward(tsum(route(x, params, k=2).gates * Tensor(rng.standard_normal((1, 5, 4)), dtype=dtype)))
+            assert np.ndim(params.tau_r.grad) == 0
+            adam.step(step)
+            c1, c2 = 1.0 - 0.9 ** step, 1.0 - 0.999 ** step
+            for (name, t), state, m, v in zip(named, ref, adam.m, adam.v):
+                p, m_ref, v_ref = state
+                g = t.grad
+                if g is None:
+                    continue
+                m_ref = m_ref * 0.9 + (1.0 - 0.9) * g
+                v_ref = v_ref * 0.999 + (1.0 - 0.999) * (g * g)
+                state[:] = p - 0.05 * (m_ref / c1) / (np.sqrt(v_ref / c2) + 1e-8), m_ref, v_ref
+                for got, want in zip((t.data, m.data, v.data), state):
+                    assert np.asarray(got).dtype == dtype and np.asarray(got).tobytes() == np.asarray(want).tobytes(), name
+        assert params.tau_r.data != tau and np.isfinite(params.tau_r.data)
+
 
 def test_routing_invariants_bulk():
     """Probs sum to one, exactly k gates, kept gates equal probs, shift invariance."""

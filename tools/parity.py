@@ -21,11 +21,19 @@ one-layer f64 s2moe model (seed 5) on two fixed sequences of T = 256, past
 the 128 positions of a desk run, where an attention tile sums a row over
 fewer columns than the full row.
 
+Each tree's process also takes one training step at T = 512 (``train._step``
+on a fresh one-layer s2moe model: d = 64, 4 heads, 4 experts, batch 2, seed 0)
+at f32 and at f64, and keeps its loss and every parameter gradient. The desk
+runs are 128 positions long, so only this step puts an attention backward
+past 128 positions, and a training step's dropout and noise, against the
+other tree.
+
 One line per variant and precision says equal or different, with the largest
 absolute difference over all checkpoint tensors, and one more line each does
-the same for the Jacobian reports and the long-sequence logits. Exit 0 when
-every run, the reports and the logits are equal, 1 when one differs, 2 when
-an argument is not a checkout.
+the same for the Jacobian reports, the long-sequence logits and the
+training-step gradients. Exit 0 when every run, the reports, the logits and
+the gradients are equal, 1 when one differs, 2 when an argument is not a
+checkout.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ CORPUS_BYTES = 1_000_000
 RUN = {"steps": 12, "seed": 3, "eval_interval": 2, "ckpt_interval": 4}
 PROBES = 60  # criterion-5 probe vectors per layer
 LONG_T = 256  # the long-sequence eval's length
+STEP_T = 512  # the training step's length
 
 
 def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
@@ -86,6 +95,7 @@ def run_tree(out: str, run: dict, corpus_bytes: int, probes: int) -> None:
                         for tensor, arr in load_checkpoint(os.path.join(run_dir, name)).tensors})
     jacobian_reports(out, probes)
     long_sequence_logits(out)
+    step_gradients(out)
 
 
 def long_sequence_logits(out: str) -> None:
@@ -97,6 +107,26 @@ def long_sequence_logits(out: str) -> None:
     tokens = np.random.default_rng(CORPUS_SEED).integers(0, cfg.vocab_size, (2, LONG_T))
     logits, _ = LanguageModel(cfg).lm_forward(tokens, "eval", k=2)
     np.savez(os.path.join(out, "long.npz"), logits=logits.data)
+
+
+def step_gradients(out: str) -> None:
+    """``grads.npz`` under ``out``: the loss and parameter gradients of one
+    s2moe training step at T = ``STEP_T``, at each precision."""
+    from s2moe.config import preset
+    from s2moe.model import LanguageModel
+    from s2moe.train import _step
+
+    arrays = {}
+    for precision in PRECISIONS:
+        cfg = preset("desk")
+        for key, value in dict(n_layers=1, d_model=64, n_heads=4, d_exp=128, n_experts=4, seq_len=STEP_T,
+                               batch_size=2, variant="s2moe", precision=precision, vocab_size=257, seed=0).items():
+            setattr(cfg, key, value)
+        model = LanguageModel(cfg.model_config())
+        x, y = np.random.default_rng(CORPUS_SEED).integers(0, cfg.vocab_size, (2, 2, STEP_T))
+        arrays[f"{precision}:loss"] = _step(model, cfg, x, y, cfg.k_train, 0)[4].data
+        arrays.update((f"{precision}:{name}", p.grad) for name, p in model.parameters() if p.grad is not None)
+    np.savez(os.path.join(out, "grads.npz"), **arrays)
 
 
 def jacobian_reports(out: str, probes: int) -> None:
@@ -211,9 +241,12 @@ def main(argv: list[str] | None = None) -> int:
         long_diff = _max_array_diff(*(os.path.join(out, "long.npz") for out in outs))
         print(f"long-sequence f64 T={LONG_T}: {'equal' if long_diff == 0 else 'different'}; "
               f"max |logit diff| {long_diff:.3g}")
+        grad_diff = _max_array_diff(*(os.path.join(out, "grads.npz") for out in outs))
+        print(f"training step T={STEP_T} f32+f64: {'equal' if grad_diff == 0 else 'different'}; "
+              f"max |gradient diff| {grad_diff:.3g}")
     total = len(VARIANTS) * len(PRECISIONS)
     print(f"parity: {equal} of {total} runs equal")
-    return 0 if equal == total and jacobian_equal and long_diff == 0 else 1
+    return 0 if equal == total and jacobian_equal and long_diff == 0 and grad_diff == 0 else 1
 
 
 if __name__ == "__main__":
