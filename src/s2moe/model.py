@@ -40,6 +40,17 @@ class ModelConfig:
     precision: str = "f32"  # f32 | f64
 
     def __post_init__(self):
+        # comparisons written so that a NaN is refused too
+        for key in ("n_layers", "d_model", "n_heads", "d_exp", "seq_len"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"{key} = {getattr(self, key)} must be at least 1")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout = {self.dropout} must lie in [0, 1)")
+        for key in ("alpha", "beta"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} = {getattr(self, key)} must be at least 0")
+        if not self.tau_u > 0:
+            raise ValueError(f"tau_u = {self.tau_u} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 1 <= self.k_train <= self.n_experts or not 1 <= self.k_eval <= self.n_experts:

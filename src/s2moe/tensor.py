@@ -671,10 +671,17 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     products may round apart from a full-row forward's.
 
     When the op records it keeps each query row's max and exp-sum, (B, h, T,
-    1) each, and no probabilities. Its backward rebuilds the (B, h, T, T)
-    probabilities, zero right of each tile, with the forward's own tile ops
-    on the same inputs, so they equal the forward's bit for bit; they live
-    only while that backward runs.
+    1) each, and no probabilities. Its backward does only causal work, in two
+    passes over the same tiles. The row pass rebuilds each tile's
+    probabilities on its columns up to its last row, with the forward's own
+    tile ops on the same inputs, so they equal the forward's bit for bit; it
+    forms the scores' gradient and q's gradient from them, and copies both
+    into per-key-column blocks that hold only the rows at or below each
+    block's first column. The column pass forms k's and v's gradients as one
+    product per block and frees each block after it, so no (B, h, T, T)
+    array exists. Up to T = 128 every product sums the same nonzero terms in
+    the same order as a full-square backward, so the gradients equal its bit
+    for bit; past that the shorter reductions may round apart.
     """
     if not q.shape == k.shape == v.shape or q.data.ndim != 3:
         raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
@@ -686,9 +693,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
 
     def split(a):  # (B, T, d) -> (B, h, T, dh) view
         return a.reshape(b, t, h, dh).transpose(0, 2, 1, 3)
-
-    def merge(a):  # (B, h, T, dh) -> (B, T, d)
-        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
 
     # q and v stay strided views: BLAS reads each head's rows in place
     qh, vh = split(q.data), split(v.data)
@@ -719,24 +723,37 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
             row_max[:, :, r0:r1], row_sum[:, :, r0:r1] = top, total
 
     def bw(g):
-        p = np.zeros((b, h, t, t), dtype=dtype)
-        for r0, r1 in tiles:
-            s = scores(r0, r1)
-            s -= row_max[:, :, r0:r1]
-            np.exp(s, out=s)
-            s /= row_sum[:, :, r0:r1]
-            p[:, :, r0:r1, :r1] = s
+        # contiguous copies: on transposed views the products of q's and k's
+        # gradients round apart from a full-square backward's, even at T <= 128
         gh = np.ascontiguousarray(split(g))
-        gp = gh @ np.ascontiguousarray(vh.transpose(0, 1, 3, 2))
-        gv = p.transpose(0, 1, 3, 2) @ gh
-        for r0, r1 in tiles:  # softmax backward one row tile at a time, then the scale
-            gpt, pt = gp[:, :, r0:r1], p[:, :, r0:r1]
-            gpt -= (gpt * pt).sum(axis=-1, keepdims=True)
-            gpt *= pt
-            gpt *= scale
-        gq = gp @ np.ascontiguousarray(kt.transpose(0, 1, 3, 2))
-        gk = (qh.transpose(0, 1, 3, 2) @ gp).transpose(0, 1, 3, 2)
-        return [merge(gq), merge(gk), merge(gv)]
+        vt = np.ascontiguousarray(vh.transpose(0, 1, 3, 2))  # (B, h, dh, T)
+        kc = np.ascontiguousarray(kt.transpose(0, 1, 3, 2))  # (B, h, T, dh)
+        # rows c0: of key columns c0:c1, per column tile, of p and of the
+        # scores' gradient; rows above c0 are zero there and never stored
+        p_cols = [np.empty((b, h, t - c0, c1 - c0), dtype=dtype) for c0, c1 in tiles]
+        gs_cols = [np.empty_like(block) for block in p_cols]
+        gq = np.empty((b, t, h, dh), dtype=dtype)  # the gradients merge their heads as they are written
+        for r0, r1 in tiles:  # row pass: columns :r1 of each query tile
+            p = scores(r0, r1)
+            p -= row_max[:, :, r0:r1]
+            np.exp(p, out=p)
+            p /= row_sum[:, :, r0:r1]
+            gs = gh[:, :, r0:r1] @ vt[..., :r1]
+            gs -= (gs * p).sum(axis=-1, keepdims=True)
+            gs *= p
+            gs *= scale
+            gq[:, r0:r1] = (gs @ kc[:, :, :r1]).transpose(0, 2, 1, 3)
+            for (c0, c1), p_col, gs_col in zip(tiles, p_cols, gs_cols):
+                if c0 >= r1:
+                    break
+                p_col[:, :, r0 - c0:r1 - c0] = p[..., c0:c1]
+                gs_col[:, :, r0 - c0:r1 - c0] = gs[..., c0:c1]
+        gk, gv = np.empty_like(gq), np.empty_like(gq)
+        for i, (c0, c1) in enumerate(tiles):  # column pass: one product per block
+            gv[:, c0:c1] = (p_cols[i].transpose(0, 1, 3, 2) @ gh[:, :, c0:]).transpose(0, 2, 1, 3)
+            gk[:, c0:c1] = (qh[:, :, c0:].transpose(0, 1, 3, 2) @ gs_cols[i]).transpose(0, 3, 1, 2)
+            p_cols[i] = gs_cols[i] = None
+        return [gq.reshape(b, t, d), gk.reshape(b, t, d), gv.reshape(b, t, d)]
 
     return _finish("causal-attention", out.reshape(b, t, d), (q, k, v), bw)
 

@@ -285,6 +285,7 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     resume draws no init and zero-fills no moment: the checkpoint's arrays
     become the parameters and the Adam moments.
     """
+    cfg.model_config()  # refuse a value out of range before the corpus is read
     corpus = ingest_corpus(cfg.corpus, cfg.splits)
     pairs = pair_count(corpus.train, cfg.seq_len)
     if pairs == 0:

@@ -81,6 +81,22 @@ class TestMalformedConfig:
             train(cfg)
         assert not os.path.exists(cfg.out_dir)
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("n_layers", 0, "must be at least 1"), ("d_model", 0, "must be at least 1"),
+        ("n_heads", 0, "must be at least 1"), ("d_exp", 0, "must be at least 1"),
+        ("seq_len", 0, "must be at least 1"), ("dropout", 1.0, "must lie in [0, 1)"),
+        ("dropout", -0.1, "must lie in [0, 1)"), ("alpha", -0.1, "must be at least 0"),
+        ("beta", -0.5, "must be at least 0"), ("tau_u", 0.0, "must be positive"),
+    ])
+    def test_model_value_out_of_range_is_usage_error(self, key, value, rule, tiny_config_file, capsys):
+        path, cfg = tiny_config_file("bad", **{key: value})
+        assert cli(["train", "--config", path]) == 1
+        assert f"usage error: {key} = {value} {rule}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key} = {value} {rule}')}$"):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+        assert cli(["flops", "--config", path, "--k", "1"]) == 1
+
     def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
         assert cli(["flops", "--config", str(tmp_path / "absent.cfg"), "--k", "1"]) == 2
         assert "absent.cfg" in capsys.readouterr().err

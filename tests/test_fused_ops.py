@@ -176,13 +176,14 @@ def untaped(f, leaves):
     return f(*(Tensor(a.copy()) for a in leaves)).data
 
 
-@pytest.mark.parametrize("t", [33, 64, 65, 97, 100, 128, 160])
+@pytest.mark.parametrize("t", list(range(1, 129)) + [160])
 def test_attention_tiles_past_one_tile_row(t):
-    """Several row tiles, a last tile of 2 to 33 rows (a one-row remainder
-    joins the tile before). Without a tape the output equals the recorded
-    one bitwise. Up to T = 128 output and gradients equal the full-row
-    composition bitwise; past 128 (shorter row sums) they agree to 1e-14 at
-    f64."""
+    """Every T from 1 to 128, and 160: one to five row tiles, a last tile of
+    1 to 33 rows (a one-row remainder joins the tile before), and the column
+    blocks the backward builds from them. Without a tape the output equals
+    the recorded one bitwise. Up to T = 128 output and all three gradients
+    equal the full-square composition bitwise at f32 and f64; past 128
+    (shorter row and column sums) they agree to 1e-14 at f64."""
     for dtype in DTYPES:
         rng = np.random.default_rng(t)
         qkv = [rng.standard_normal((2, t, 8)).astype(dtype) for _ in range(3)]
@@ -196,6 +197,27 @@ def test_attention_tiles_past_one_tile_row(t):
             (out_f, grads_f), (out_c, grads_c) = fused
             for got, want in zip([out_f] + grads_f, [out_c] + grads_c):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_attention_backward_holds_only_causal_tiles():
+    """One backward's peak stays below 1.5 (B, h, T, T) tensors: it holds the
+    lower triangle of p and of the scores' gradient in column blocks, each
+    freed after its product, and never the whole square (2.14 tensors when
+    the backward filled the square)."""
+    rng = np.random.default_rng(6)
+    b, t, d, h = 1, 512, 4, 2
+    q, k, v = (Tensor(rng.standard_normal((b, t, d)), requires_grad=True) for _ in range(3))
+    c = Tensor(rng.standard_normal((b, t, d)))
+    with Tape():
+        loss = tsum(mul(causal_attention(q, k, v, h), c))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    square = b * h * t * t * 8
+    assert peak < 1.5 * square, f"backward peak {peak / square:.2f} (B, h, T, T) tensors"
 
 
 def test_attention_keeps_row_statistics_not_probabilities():

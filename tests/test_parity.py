@@ -1,7 +1,8 @@
 """``tools/parity.py`` on one tree against itself, at a tiny size: every
 variant and precision, the Jacobian reports, the long-sequence logits and
-the T = 512 training-step gradients are equal; and a run whose probe text
-alone differs is told apart."""
+the T = 512 training-step gradients at each precision are equal, at the
+BLAS thread count the environment sets; and a run whose probe text alone
+differs is told apart."""
 
 import importlib.util
 import pathlib
@@ -20,13 +21,15 @@ def test_tree_against_itself_is_equal(monkeypatch, capsys):
         steps=2, seed=3, eval_interval=1, ckpt_interval=1, n_layers=1, d_model=32,
         n_heads=2, d_exp=16, n_experts=4, seq_len=32, batch_size=4))
     monkeypatch.setattr(parity, "PROBES", 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert parity.main([str(ROOT), str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 14 and lines[-1] == "parity: 10 of 10 runs equal"
-    assert all(": equal; max |tensor diff| 0" in line for line in lines[:-4])
-    assert lines[-4] == "jacobian: equal; max |array diff| 0"
-    assert lines[-3] == "long-sequence f64 T=256: equal; max |logit diff| 0"
-    assert lines[-2] == "training step T=512 f32+f64: equal; max |gradient diff| 0"
+    assert len(lines) == 16 and lines[0] == "blas threads: 1 (OPENBLAS_NUM_THREADS)" and lines[-1] == "parity: 10 of 10 runs equal"
+    assert all(": equal; max |tensor diff| 0" in line for line in lines[1:-5])
+    assert lines[-5] == "jacobian: equal; max |array diff| 0"
+    assert lines[-4] == "long-sequence f64 T=256: equal; max |logit diff| 0"
+    assert lines[-3] == "training step T=512 f32: equal; max |gradient diff| 0"
+    assert lines[-2] == "training step T=512 f64: equal; max |gradient diff| 0"
 
 
 def test_refuses_a_path_without_source(tmp_path, capsys):
@@ -44,3 +47,18 @@ def test_probe_text_is_compared(tmp_path):
         (run / "probe.txt").write_text(probe)
         np.savez(run / "tensors.npz", w=np.zeros(2))
     assert parity._compare_run(*map(str, runs)) == (["probe"], 0.0)
+
+
+def test_step_gradients_are_compared_per_precision(tmp_path):
+    a, b = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(a, **{"f32:w": np.ones(2, np.float32), "f64:w": np.ones(2)})
+    np.savez(b, **{"f32:w": np.ones(2, np.float32), "f64:w": np.array([1.0, 1.5])})
+    assert parity._max_array_diff(str(a), str(b), prefix="f32:") == 0
+    assert parity._max_array_diff(str(a), str(b), prefix="f64:") == 0.5
+    assert parity._max_array_diff(str(a), str(b)) == 0.5
+
+
+def test_thread_count_is_read_as_openblas_reads_it():
+    assert parity._blas_threads({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "4"}) == "2 (OPENBLAS_NUM_THREADS)"
+    assert parity._blas_threads({"OMP_NUM_THREADS": "4"}) == "4 (OMP_NUM_THREADS)"
+    assert parity._blas_threads({}).startswith("library default")

@@ -28,12 +28,17 @@ runs are 128 positions long, so only this step puts an attention backward
 past 128 positions, and a training step's dropout and noise, against the
 other tree.
 
+Results depend on the BLAS thread count. Both trees inherit this process's
+environment, so ``OPENBLAS_NUM_THREADS=N python tools/parity.py A B`` runs
+both at N threads; the first line names the count and the variable that set
+it.
+
 One line per variant and precision says equal or different, with the largest
 absolute difference over all checkpoint tensors, and one more line each does
-the same for the Jacobian reports, the long-sequence logits and the
-training-step gradients. Exit 0 when every run, the reports, the logits and
-the gradients are equal, 1 when one differs, 2 when an argument is not a
-checkout.
+the same for the Jacobian reports, the long-sequence logits and, per
+precision, the training-step gradients. Exit 0 when every run, the reports,
+the logits and the gradients are equal, 1 when one differs, 2 when an
+argument is not a checkout.
 """
 
 from __future__ import annotations
@@ -172,14 +177,16 @@ def _metrics_rows(run_dir: str) -> list[str]:
     return [line.rsplit(",", 1)[0] for line in _read(os.path.join(run_dir, "metrics.csv")).splitlines()]
 
 
-def _max_array_diff(a: str, b: str) -> float:
-    """Largest absolute difference between two ``.npz`` files' arrays (NaN
-    when either holds a NaN, so it never reads as 0)."""
+def _max_array_diff(a: str, b: str, prefix: str = "") -> float:
+    """Largest absolute difference between two ``.npz`` files' arrays whose
+    names start with ``prefix`` (NaN when either holds a NaN, so it never
+    reads as 0)."""
     with np.load(a) as ta, np.load(b) as tb:
-        if sorted(ta.files) != sorted(tb.files):
+        keys = sorted(key for key in ta.files if key.startswith(prefix))
+        if keys != sorted(key for key in tb.files if key.startswith(prefix)):
             return float("inf")
         worst = 0.0
-        for key in ta.files:
+        for key in keys:
             x, y = ta[key], tb[key]
             if x.shape != y.shape:
                 return float("inf")
@@ -203,6 +210,15 @@ def _compare_run(a: str, b: str) -> tuple[list[str], float]:
     return differs, _max_array_diff(os.path.join(a, "tensors.npz"), os.path.join(b, "tensors.npz"))
 
 
+def _blas_threads(env: dict) -> str:
+    """The BLAS thread count ``env`` sets, as OpenBLAS reads it:
+    ``OPENBLAS_NUM_THREADS`` before ``OMP_NUM_THREADS``."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if env.get(var):
+            return f"{env[var]} ({var})"
+    return "library default (no OPENBLAS_NUM_THREADS or OMP_NUM_THREADS)"
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -214,6 +230,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {tree} holds no src/s2moe", file=sys.stderr)
             return 2
 
+    print(f"blas threads: {_blas_threads(os.environ)}")
     with tempfile.TemporaryDirectory(prefix="s2moe-parity-") as work:
         # both trees run at one path, so the config echo in their checkpoints agrees
         run_at, outs = os.path.join(work, "run"), []
@@ -241,12 +258,14 @@ def main(argv: list[str] | None = None) -> int:
         long_diff = _max_array_diff(*(os.path.join(out, "long.npz") for out in outs))
         print(f"long-sequence f64 T={LONG_T}: {'equal' if long_diff == 0 else 'different'}; "
               f"max |logit diff| {long_diff:.3g}")
-        grad_diff = _max_array_diff(*(os.path.join(out, "grads.npz") for out in outs))
-        print(f"training step T={STEP_T} f32+f64: {'equal' if grad_diff == 0 else 'different'}; "
-              f"max |gradient diff| {grad_diff:.3g}")
+        grad_diffs = [_max_array_diff(*(os.path.join(out, "grads.npz") for out in outs), prefix=f"{precision}:")
+                      for precision in PRECISIONS]
+        for precision, grad_diff in zip(PRECISIONS, grad_diffs):
+            print(f"training step T={STEP_T} {precision}: {'equal' if grad_diff == 0 else 'different'}; "
+                  f"max |gradient diff| {grad_diff:.3g}")
     total = len(VARIANTS) * len(PRECISIONS)
     print(f"parity: {equal} of {total} runs equal")
-    return 0 if equal == total and jacobian_equal and long_diff == 0 and grad_diff == 0 else 1
+    return 0 if equal == total and jacobian_equal and long_diff == 0 and not any(grad_diffs) else 1
 
 
 if __name__ == "__main__":
