@@ -1,8 +1,9 @@
 # The two-path stochastic MoE layer
 # ---------------------------------
 # Given a random stream (training), the layer routes the clean input and a
-# Gaussian-perturbed copy independently, then blends the two expert mixtures
-# with a learned per-token gate in (0, 1). Without a stream (eval) only the
+# Gaussian-perturbed copy independently, as one stacked batch through one
+# route and one expert combine, then blends the two expert mixtures with a
+# learned per-token gate in (0, 1). Without a stream (eval) only the
 # clean path runs and nothing is drawn, so inference cost equals the plain
 # sparse layer.
 
@@ -20,9 +21,12 @@ stats = compute_batch_stats(x)
 print("mu[:4]   :", np.round(stats.mu[:4], 3))
 print("sigma[:4]:", np.round(stats.sigma[:4], 3))
 
-# x_hat = n1 * x + n2 with n1 ~ N(1, sigma^2), n2 ~ N(mu, sigma^2).
-x_hat = perturb(x, stats, RngStream(42))
-print("mean |x_hat - x|:", float(np.mean(np.abs(x_hat.data - x.data))))
+# x_hat = n1 * x + n2 with n1 ~ N(1, sigma^2), n2 ~ N(mu, sigma^2), made
+# stacked under x: both paths' rows in one (2B, T, d) batch.
+pair = perturb(x, stats, RngStream(42))
+x_hat = pair.data[x.shape[0]:]
+print("two-path batch:", pair.shape)
+print("mean |x_hat - x|:", float(np.mean(np.abs(x_hat - x.data))))
 
 # With a stream: both paths, blended; the aux carries both routing decisions
 # and the pooled pair the uncertainty loss consumes.

@@ -19,7 +19,7 @@ from .experts import moe_combine
 from .moe import MoeAux, S2MoeLayer
 from .routing import route
 from .stochastic import RngStream, perturb
-from .tensor import Tape, Tensor, backward, mul, tsum
+from .tensor import Tape, Tensor, backward, concat, gather_rows, mul, tsum
 
 
 @dataclass
@@ -98,18 +98,19 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
         draw = (noise_rng.seed, noise_rng.counter)  # every forward replays this one noise draw
 
     def forward(x: Tensor, frozen: list | None) -> Tensor:
-        """Layer output at input x; frozen=[dec, dec_noisy] pins routing."""
+        """Layer output at input x; frozen=[dec, dec_noisy] pins routing. The
+        paths run apart, each routed and combined on its one row."""
         dec = frozen[0] if frozen else route(x, router, k)
         y = moe_combine(x, dec, experts)
         if stochastic:
-            x_hat = perturb(x, stats, RngStream(*draw))
+            x_hat = gather_rows(perturb(x, stats, RngStream(*draw)), [1])  # the batch's noisy row
             dec_n = frozen[1] if frozen else route(x_hat, router, k)
-            y = layer.mix(x, y, moe_combine(x_hat, dec_n, experts))
+            y = layer.mix(x, concat(y, moe_combine(x_hat, dec_n, experts)))
         return y
 
     # the probe point's clean (then noisy) input; their untaped decisions pin the gates
     x0 = Tensor(v0.reshape(1, 1, d))
-    inputs = [x0, perturb(x0, stats, noise_rng)] if stochastic else [x0]
+    inputs = [x0, Tensor(perturb(x0, stats, noise_rng).data[1:])] if stochastic else [x0]
     frozen = [route(x, router, k) for x in inputs]
     gap = min(_boundary_gap(dec.probs.data[0, 0], k) for dec in frozen)
     kink = min(_kink_gap(experts, x.data.reshape(-1), dec.indices) for x, dec in zip(inputs, frozen))

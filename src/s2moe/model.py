@@ -51,6 +51,10 @@ class ModelConfig:
                 raise ValueError(f"{key} = {getattr(self, key)} must be at least 0")
         if not self.tau_u > 0:
             raise ValueError(f"tau_u = {self.tau_u} must be positive")
+        if not self.d_low >= 1:
+            raise ValueError(f"d_low = {self.d_low} must be at least 1")
+        if self.variant == "xmoe" and not self.d_low < self.d_model:
+            raise ValueError(f"d_low = {self.d_low} must be below d_model = {self.d_model} for xmoe")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if not 1 <= self.k_train <= self.n_experts or not 1 <= self.k_eval <= self.n_experts:
@@ -137,8 +141,8 @@ class DecoderBlock:
     def forward(self, x: Tensor, k: int, rng: RngStream | None) -> tuple[Tensor, MoeAux]:
         a = self.attn.forward(affine_layer_norm(x, self.ln1_g, self.ln1_b))
         x = _residual_dropout(x, a, self.dropout, rng)
-        h = affine_layer_norm(x, self.ln2_g, self.ln2_b)
-        m, aux = self.moe.forward(h, k, rng)
+        # no name here holds the normed input, so the two-path layer can let it go once stacked
+        m, aux = self.moe.forward(affine_layer_norm(x, self.ln2_g, self.ln2_b), k, rng)
         x = _residual_dropout(x, m, self.dropout, rng)
         return x, aux
 

@@ -1,8 +1,9 @@
 """MoE layer objects: the baseline sparse layer and the two-path stochastic one.
 
 The stochastic layer routes the clean input and a noise-augmented copy
-independently, blends the two outputs with a learned per-token gate, and
-surfaces mean-pooled (clean, noisy) input pairs for the uncertainty loss.
+independently, as one stacked batch through one route and one expert
+combine, blends the two outputs with a learned per-token gate, and surfaces
+mean-pooled (clean, noisy) input pairs for the uncertainty loss.
 A forward trains exactly when it is given a random stream; without one the
 stochastic layer is exactly the baseline sparse layer and draws nothing.
 """
@@ -15,14 +16,8 @@ import numpy as np
 
 from .experts import ExpertBank, moe_combine
 from .routing import RouterDecision, RouterParams, make_router, route
-from .stochastic import (
-    RngStream,
-    blend_gate,
-    compute_batch_stats,
-    make_blend_gate,
-    perturb,
-)
-from .tensor import Tensor, mean, mix
+from .stochastic import RngStream, blend_gate, compute_batch_stats, make_blend_gate, perturb
+from .tensor import Tensor, gather_rows, mean, mix, rebase, stack_affine
 
 
 @dataclass
@@ -33,7 +28,9 @@ class MoeAux:
     decision_noisy: RouterDecision | None = None
     pooled_clean: Tensor | None = None   # (B, d)
     pooled_noisy: Tensor | None = None   # (B, d)
-    moe_input: np.ndarray | None = None  # the layer input x.data, not a copy
+    # the layer input x.data, not a copy; None from a two-path training
+    # forward, whose input sits in the stacked batch an aux would pin
+    moe_input: np.ndarray | None = None
 
 
 class SmoeLayer:
@@ -73,19 +70,30 @@ class S2MoeLayer(SmoeLayer):
         return super().parameters() + self.blend.parameters()
 
     def forward(self, x: Tensor, k: int, rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
-        """With a stream: g(x) * f(x) + (1 - g(x)) * f(x_hat). Without: exactly f(x)."""
+        """With a stream: g(x) * f(x) + (1 - g(x)) * f(x_hat). Without: exactly f(x).
+
+        x and x_hat run as one (2B, T, d) batch: one route and one expert
+        combine serve both paths. Each row is routed and combined as it
+        would be in a batch of its own path only, so the forward equals the
+        per-path one bit for bit; the router's and experts' weight gradients
+        sum both paths' rows in one product."""
         if rng is None:
             return super().forward(x, k)
-        x_hat = perturb(x, compute_batch_stats(x), rng) if self.noise_enabled else x
-        y_clean, aux = super().forward(x, k)
-        decision_noisy = route(x_hat, self.router, k)
-        y_noisy = moe_combine(x_hat, decision_noisy, self.experts)
-        y = self.mix(x, y_clean, y_noisy)
-        aux.decision_noisy = decision_noisy
-        aux.pooled_clean = mean(x, axis=1)
-        aux.pooled_noisy = mean(x_hat, axis=1)
-        return y, aux
+        b = x.shape[0]
+        pair = perturb(x, compute_batch_stats(x), rng) if self.noise_enabled else stack_affine(x)
+        x = rebase(x, pair.data[:b])  # the blend keeps the pair's clean rows, not a second copy of them
+        y, aux = super().forward(pair, k)
+        both, clean, noisy = aux.decision, np.arange(b), np.arange(b, 2 * b)
+        aux.decision = RouterDecision(probs=gather_rows(both.probs, clean), indices=both.indices[:b],
+                                      gates=Tensor(both.gates.data[:b]), k_used=k)
+        aux.decision_noisy = RouterDecision(probs=Tensor(both.probs.data[b:]), indices=both.indices[b:],
+                                            gates=Tensor(both.gates.data[b:]), k_used=k)
+        pooled = mean(pair, axis=1)
+        aux.pooled_clean, aux.pooled_noisy = gather_rows(pooled, clean), gather_rows(pooled, noisy)
+        aux.moe_input = None
+        return self.mix(x, y), aux
 
-    def mix(self, x: Tensor, y_clean: Tensor, y_noisy: Tensor) -> Tensor:
-        """The two-path blend g(x) * y_clean + (1 - g(x)) * y_noisy."""
-        return mix(blend_gate(x, self.blend), y_clean, y_noisy)
+    def mix(self, x: Tensor, y: Tensor) -> Tensor:
+        """The two-path blend g(x) * y[:B] + (1 - g(x)) * y[B:] of a stacked
+        output y, clean rows on top."""
+        return mix(blend_gate(x, self.blend), y)

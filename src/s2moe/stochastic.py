@@ -2,7 +2,8 @@
 
 Per batch, each feature dimension gets a mean and a population standard
 deviation; the noisy input is ``x_hat = n1 * x + n2`` with ``n1 ~ N(1, sigma^2)``
-and ``n2 ~ N(mu, sigma^2)`` drawn per element. The stats and draws carry no
+and ``n2 ~ N(mu, sigma^2)`` drawn per element, made stacked under x as one
+batch for both paths. The stats and draws carry no
 gradient; only the ``x`` factor does. A one-layer sigmoid gate blends the
 clean-path and noisy-path outputs per token.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, add_mul, matmul, sigmoid
+from .tensor import Tensor, add, matmul, sigmoid, stack_affine
 
 
 @dataclass
@@ -47,8 +48,12 @@ class RngStream:
         g = self._generator()
         self.counter += 1
         # standard draws plus affine transform: the per-element-scale path of
-        # Generator.normal is an order of magnitude slower
-        return loc + scale * g.standard_normal(shape)
+        # Generator.normal is an order of magnitude slower; in place, it
+        # rounds as loc + scale * z does and holds one array of the draw
+        z = g.standard_normal(shape)
+        z *= scale
+        z += loc
+        return z
 
     def uniform(self, shape) -> np.ndarray:
         g = self._generator()
@@ -91,12 +96,14 @@ def compute_batch_stats(x: Tensor) -> NoiseStats:
 
 
 def perturb(x: Tensor, stats: NoiseStats, rng: RngStream) -> Tensor:
-    """Noise-augmented input ``n1 * x + n2``; gradient flows through x only."""
+    """x (B, ...) stacked on its noise-augmented copy ``n1 * x + n2``, as one
+    (2B, ...) array written where the copy is made; gradient flows through
+    x only. The lower half rounds as ``add_mul(Tensor(n2), x, n1)`` does."""
     shape = x.shape
     sigma = np.broadcast_to(stats.sigma, shape)
     n1 = rng.normal(shape, loc=1.0, scale=sigma).astype(x.dtype)
     n2 = rng.normal(shape, loc=np.broadcast_to(stats.mu, shape), scale=sigma).astype(x.dtype)
-    return add_mul(Tensor(n2), x, n1)
+    return stack_affine(x, n1, n2)
 
 
 def blend_gate(x: Tensor, params: BlendGateParams) -> Tensor:

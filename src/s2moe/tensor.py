@@ -205,6 +205,21 @@ def _coerce(value, dtype) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
 
 
+def rebase(t: Tensor, data: np.ndarray) -> Tensor:
+    """``t`` over ``data``, an array of equal values such as a view into a
+    stack that ``t`` was copied into. An op on the result records ``t``'s
+    node as its input, so the gradient still reaches ``t``, but keeps
+    ``data`` rather than ``t.data`` for its backward. A leaf that takes a
+    gradient, or a node of another tape, is returned as it is."""
+    if not t.requires_grad:
+        return Tensor(data)
+    if t.tape is None or t.tape is not active_tape():
+        return t
+    out = Tensor(data, requires_grad=True)
+    out.tape, out.node_id = t.tape, t.node_id
+    return out
+
+
 def _recording(inputs: Sequence[Tensor]) -> bool:
     """Whether an op on ``inputs`` records: a tape is open and an input
     requires grad. An op that asks before it computes keeps its backward
@@ -347,9 +362,9 @@ def add_mul(x: Tensor | None, a: Tensor, c: np.ndarray, scale: np.floating | Non
     Every dropout runs on it, with ``c`` a bool keep-mask and ``scale`` the
     dtype's ``1 / keep``: ``(a * mask) * scale`` equals ``a * (mask / keep)``
     bit for bit, signed zeros and NaN under dropped positions included, and
-    the mask costs one byte an element. ``perturb``'s ``x * n1 + n2`` runs
-    on it too (the constant n2 in x's place). The record keeps ``c`` only,
-    and only when ``a`` takes a gradient."""
+    the mask costs one byte an element. With the constant n2 in x's place
+    it is ``x * n1 + n2``, which ``stack_affine``'s lower half rounds as.
+    The record keeps ``c`` only, and only when ``a`` takes a gradient."""
     has_x = x is not None
     if a.shape != np.shape(c) or (has_x and x.shape != a.shape):
         raise ShapeError(f"add-mul: x {x.shape if has_x else None}, a {a.shape} and c {np.shape(c)} "
@@ -373,25 +388,67 @@ def add_mul(x: Tensor | None, a: Tensor, c: np.ndarray, scale: np.floating | Non
     return _finish("add-mul", out, (x, a) if has_x else (a,), bw)
 
 
-def mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """``g * a + (1 - g) * b`` with a per-row weight ``g`` (..., 1) over
-    ``a`` and ``b`` (..., d), rounding as the composition of ``mul``, ``sub``,
-    ``mul`` and ``add`` does. ``g``'s gradient sums the ``b`` term first,
-    ``(-sum G*b) + sum G*a``, in the composition's tape order."""
-    if a.shape != b.shape or g.shape != a.shape[:-1] + (1,):
-        raise ShapeError(f"mix: weight {g.shape} and operands {a.shape}, {b.shape} do not conform")
-    g_data, a_data, b_data = g.data, a.data, b.data
+def stack_affine(a: Tensor, c: np.ndarray | None = None, s: np.ndarray | None = None) -> Tensor:
+    """``a`` stacked on ``a * c + s`` along the leading axis, (2B, ...) for
+    ``a`` (B, ...) and constant arrays ``c`` and ``s`` of ``a``'s shape;
+    with both None the lower half is ``a`` again. The lower half rounds as
+    ``add_mul(Tensor(s), a, c)`` does, and is written straight into the
+    stacked array, so no copy of it is made apart. ``a``'s gradient is
+    ``G[:B] + G[B:] * c``; the record keeps ``c`` only."""
+    if (c is None) != (s is None) or (c is not None and not a.shape == np.shape(c) == np.shape(s)):
+        raise ShapeError(f"stack-affine: a {a.shape}, c {np.shape(c)} and s {np.shape(s)} "
+                         "must share one shape, or c and s be None")
+    n = a.shape[0]
+    out = np.empty((2 * n,) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a.data
+    if c is None:
+        out[n:] = a.data
+    else:
+        np.multiply(a.data, c, out=out[n:])
+        out[n:] += s
+
+    def bw(g):
+        if c is None:
+            return [g[:n] + g[n:]]
+        ga = g[n:] * c
+        ga += g[:n]
+        return [ga]
+
+    return _finish("stack-affine", out, (a,), bw)
+
+
+def mix(g: Tensor, y: Tensor) -> Tensor:
+    """``g * y[:B] + (1 - g) * y[B:]`` with a per-row weight ``g`` (B, ..., 1)
+    over the two halves of a stacked ``y`` (2B, ..., d), rounding as the
+    composition of ``mul``, ``sub``, ``mul`` and ``add`` on the halves does.
+    ``g``'s gradient sums the lower term first, ``(-sum G*b) + sum G*a``, in
+    the composition's tape order; ``y``'s is one stacked array, each half
+    written in place."""
+    n = g.shape[0]
+    if y.shape[0] != 2 * n or g.shape != (n,) + y.shape[1:-1] + (1,):
+        raise ShapeError(f"mix: weight {g.shape} does not blend the halves of {y.shape}")
+    g_data, y_data = g.data, y.data
+    a_data, b_data = y_data[:n], y_data[n:]
     rest = g.dtype.type(1.0) - g_data
     out = g_data * a_data
     out += rest * b_data
-    need_g, need_a, need_b = g.requires_grad, a.requires_grad, b.requires_grad
+    need_g, need_y = g.requires_grad, y.requires_grad
     g_shape = g.shape
 
     def bw(grad):
-        gg = -_unbroadcast(grad * b_data, g_shape) + _unbroadcast(grad * a_data, g_shape) if need_g else None
-        return [gg, grad * g_data if need_a else None, grad * rest if need_b else None]
+        gg = gy = None
+        if need_g:  # both terms in one temporary; the negation copies the first out of it
+            tmp = grad * b_data
+            gg = -_unbroadcast(tmp, g_shape)
+            gg = gg + _unbroadcast(np.multiply(grad, a_data, out=tmp), g_shape)
+            tmp = None
+        if need_y:
+            gy = np.empty_like(y_data)
+            np.multiply(grad, g_data, out=gy[:n])
+            np.multiply(grad, rest, out=gy[n:])
+        return [gg, gy]
 
-    return _finish("mix", out, (g, a, b), bw)
+    return _finish("mix", out, (g, y), bw)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -506,6 +563,19 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _finish("transpose", out, (a,), bw)
 
 
+def concat(a: Tensor, b: Tensor) -> Tensor:
+    """``a`` stacked on ``b`` along the leading axis; each gets its part of
+    the gradient as a view."""
+    if a.shape[1:] != b.shape[1:]:
+        raise ShapeError(f"concat: shapes {a.shape} and {b.shape} differ past the leading axis")
+    n = a.shape[0]
+
+    def bw(g):
+        return [g[:n], g[n:]]
+
+    return _finish("concat", np.concatenate([a.data, b.data]), (a, b), bw)
+
+
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b``, keeping a single-row 2-D product on the same BLAS kernel as
     a multi-row one (numpy sends a 1 x K product to gemv, which rounds
@@ -514,6 +584,28 @@ def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
         return (np.concatenate([a, a]) @ b)[:1]
     return a @ b
+
+
+_SMALL_PRODUCT = 4096  # output elements; see _gemm_t
+
+
+def _gemm_t(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ w.T`` for a 2-D slab ``a``, each row rounding as it does in a
+    tall slab. OpenBLAS runs a small product by a transposed operand on a
+    kernel that rounds apart: at power-of-two widths, products of up to
+    about 1,200 elements (a slab of 1-9 rows at 128 output columns). A
+    product of up to ``_SMALL_PRODUCT`` elements runs on a contiguous copy
+    of ``w.T`` through ``_gemm``, whose rows round as the tall product's do
+    at desk widths; a larger one needs no copy. At a reduction over 512, as
+    at paper-base, the contiguous product rounds a 1-7 row slab apart as
+    well (ROADMAP item 3). The product is written to ``out`` when given."""
+    if a.shape[0] * w.shape[0] > _SMALL_PRODUCT:
+        return np.matmul(a, w.T, out=out)
+    product = _gemm(a, np.ascontiguousarray(w.T))
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -769,10 +861,15 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     contributions are summed from zero in ascending expert order; the
     backward sums its dx in descending expert order. Experts no row selects
     are never run and get no gradient. Each expert's hidden and output slabs
-    are kept for the backward only when the op records; its gathered input
-    rows are not kept, the backward gathers them again. The backward gathers
-    each expert's output-gradient rows inside its loop, so it holds one
-    expert's rows at a time, never the whole batch's k slots.
+    are kept for the backward only when the op records, and the backward
+    writes each expert's temporaries into them and then frees them; its
+    gathered input rows
+    are not kept, the backward gathers them again. The backward gathers each
+    expert's output-gradient rows inside its loop, so it holds one expert's
+    rows at a time, never the whole batch's k slots. Its row products by
+    transposed weights run through ``_gemm_t``, so at power-of-two widths a
+    row's input gradient, like its output, does not depend on how many rows
+    share its expert.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -813,16 +910,23 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
         gw1, gb1, gw2, gb2 = ([None] * n for _ in range(4))
         for i in reversed(used):
             lo, hi = bounds[i], bounds[i + 1]
-            gs = g[rows[lo:hi]]
-            g_gate[rows[lo:hi], i] = (gs * ys[i]).sum(axis=1)
-            gyi = gs * gate[lo:hi]
+            # this record runs once: an expert's slabs take its temporaries, then go
+            hid, y = hidden.pop(i), ys.pop(i)
+            gyi = g[rows[lo:hi]]
+            y *= gyi
+            g_gate[rows[lo:hi], i] = y.sum(axis=1)
+            del y
+            gyi *= gate[lo:hi]
             gb2[i] = gyi.sum(axis=0)
-            gw2[i] = hidden[i].T @ gyi
-            gh = gyi @ w2[i].data.T
-            gh *= hidden[i] > 0
+            gw2[i] = hid.T @ gyi
+            mask = hid > 0
+            gh = _gemm_t(gyi, w2[i].data, out=hid)
+            gh *= mask
+            del hid, mask
             gb1[i] = gh.sum(axis=0)
             gw1[i] = xf[rows[lo:hi]].T @ gh
-            gx[rows[lo:hi]] += gh @ w1[i].data.T
+            gx[rows[lo:hi]] += _gemm_t(gh, w1[i].data, out=gyi)
+            del gh, gyi
         return [gx.reshape(x_shape), g_gate.reshape(gates_shape), *gw1, *gb1, *gw2, *gb2]
 
     return _finish("expert-ffn", out.reshape(x_shape), inputs, bw)

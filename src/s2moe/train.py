@@ -151,7 +151,7 @@ def clip_global_norm(named_params, max_norm: float) -> float:
         scale = max_norm / norm
         for _, p in named_params:
             if p.grad is not None:
-                p.grad = (p.grad * scale).astype(p.grad.dtype)
+                p.grad = p.grad * scale  # a Python float keeps the gradient's dtype
     return norm
 
 
@@ -206,9 +206,9 @@ def _step(model: LanguageModel, cfg: RunConfig, x, y, k: int, step: int):
     """One step's forward, backward and gradient clip; the forward's draws
     start over from (seed, step), so a replay repeats them."""
     rng = RngStream((cfg.seed << 8) + _STREAM_FORWARD, counter=step * _FORWARD_STRIDE)
+    model.zero_grad()  # no forward reads a gradient: free the last step's before this one allocates
     with Tape():
         auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)[1:]  # no logits held through backward
-        model.zero_grad()
         backward(total)
     return auxes, nats, bal, unc, total, clip_global_norm(model.parameters(), cfg.grad_clip)
 

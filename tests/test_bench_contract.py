@@ -36,7 +36,7 @@ def test_traced_train_counts_tape_records(small_corpus, tmp_path):
 
 @pytest.mark.parametrize("variant", ["s2moe", "smoe"])
 def test_traced_train_records_moe_spans(small_corpus, tmp_path, variant):
-    """The two-path layer's clean path runs through the bound
+    """The two-path layer runs both paths, stacked, through the bound
     ``SmoeLayer.forward``, so it is timed inside ``moe.s2moe_forward``."""
     cfg = tiny_run_config(small_corpus, tmp_path, steps=2, variant=variant)
     recorder, bindings = spans.SpanRecorder(), spans.Bindings()
@@ -56,19 +56,25 @@ def test_traced_train_records_moe_spans(small_corpus, tmp_path, variant):
 
 @pytest.mark.parametrize("variant, paths", [("s2moe", 2), ("smoe", 1)])
 def test_traced_train_times_each_fused_op_once_per_call(small_corpus, tmp_path, variant, paths):
-    """Attention is timed once per layer per step and the expert combine once
-    per layer per path; the combine runs every expert inside one op, so
-    ``ExpertBank.apply`` is never called under it."""
+    """Attention and the expert combine are each timed once per layer per
+    step: the two-path layer's combine runs its clean and noisy rows as one
+    stacked batch of ``paths`` times the step's sequences. The combine runs
+    every expert inside one op, so ``ExpertBank.apply`` is never called
+    under it."""
     cfg = tiny_run_config(small_corpus, tmp_path, steps=2, n_layers=2, variant=variant)
     recorder, bindings = spans.SpanRecorder(), spans.Bindings()
     workload.install_tracer(recorder, bindings)
+    heights = []
+    bindings.wrap(workload.moe_mod, "moe_combine",
+                  lambda combine: lambda x, *args: heights.append(x.shape[0]) or combine(x, *args))
     try:
         workload.train_mod.train(cfg)
     finally:
         bindings.restore()
     totals = recorder.totals()
     assert totals["model.attention"]["calls"] == 2 * 2
-    assert totals["experts.combine"]["calls"] == 2 * 2 * paths
+    assert totals["experts.combine"]["calls"] == 2 * 2
+    assert heights == [paths * cfg.batch_size] * (2 * 2)
     assert "experts.apply" not in totals["experts.combine"]["children"]
     assert "experts.apply" not in totals
 

@@ -87,6 +87,7 @@ class TestMalformedConfig:
         ("seq_len", 0, "must be at least 1"), ("dropout", 1.0, "must lie in [0, 1)"),
         ("dropout", -0.1, "must lie in [0, 1)"), ("alpha", -0.1, "must be at least 0"),
         ("beta", -0.5, "must be at least 0"), ("tau_u", 0.0, "must be positive"),
+        ("d_low", 0, "must be at least 1"), ("d_low", -2, "must be at least 1"),
     ])
     def test_model_value_out_of_range_is_usage_error(self, key, value, rule, tiny_config_file, capsys):
         path, cfg = tiny_config_file("bad", **{key: value})
@@ -96,6 +97,19 @@ class TestMalformedConfig:
             train(cfg)
         assert not os.path.exists(cfg.out_dir)
         assert cli(["flops", "--config", path, "--k", "1"]) == 1
+
+    def test_xmoe_low_width_not_below_model_width_is_usage_error(self, tiny_config_file, capsys):
+        """Refused when the config is checked, before ``out_dir`` exists, not
+        when the router is built; other variants do not use ``d_low``."""
+        path, cfg = tiny_config_file("bad", variant="xmoe", d_low=32)
+        rule = "d_low = 32 must be below d_model = 32 for xmoe"
+        assert cli(["train", "--config", path]) == 1
+        assert f"usage error: {rule}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+        assert cli(["flops", "--config", path, "--k", "1"]) == 1
+        ModelConfig(d_model=32, d_low=32)
 
     def test_missing_config_file_is_runtime_error(self, tmp_path, capsys):
         assert cli(["flops", "--config", str(tmp_path / "absent.cfg"), "--k", "1"]) == 2

@@ -1,9 +1,9 @@
 """The fused primitives, ``causal_attention``, ``affine_layer_norm``,
-``expert_ffn``, ``add_mul`` and ``mix``, against the compositions of small ops
-they replace: the output and every input gradient must be bitwise equal, at
-f32 and f64 (attention past T = 128 within the stated rounding). A fused
-op's output without a tape equals its recorded output. A non-finite value
-inside an op is still named by the NaN replay."""
+``expert_ffn``, ``add_mul``, ``stack_affine`` and ``mix``, against the
+compositions of small ops they replace: the output and every input gradient
+must be bitwise equal, at f32 and f64 (attention past T = 128 within the
+stated rounding). A fused op's output without a tape equals its recorded
+output. A non-finite value inside an op is still named by the NaN replay."""
 
 import contextlib
 import re
@@ -22,20 +22,25 @@ from s2moe.tensor import (
     Tape,
     Tensor,
     _finish,
+    _gemm,
+    _gemm_t,
     add,
     add_mul,
     affine_layer_norm,
     backward,
     causal_attention,
+    concat,
     expert_ffn,
     gather_rows,
     matmul,
     mix,
     mul,
     nan_guard,
+    relu,
     reshape,
     sigmoid,
     softmax,
+    stack_affine,
     sub,
     transpose,
     tsum,
@@ -90,6 +95,24 @@ def combine_rows(segments, size):
                    lambda g: [g[idx] for idx in idxs])
 
 
+def row_product(a, w):
+    """``a @ w`` on a (M, K) slab whose input gradient is ``_gemm_t``'s, as
+    ``expert_ffn`` forms it (so a row's gradient does not depend on the
+    slab's height); its weight gradient is ``matmul``'s."""
+    a_data, w_data = a.data, w.data
+
+    def bw(g):
+        return [_gemm_t(g, w_data), a_data.T @ g]
+
+    return _finish("matmul", _gemm(a_data, w_data), (a, w), bw)
+
+
+def apply_expert(bank, x, i):
+    """``ExpertBank.apply`` with its two products as ``row_product``s."""
+    h = relu(add(row_product(x, bank.w1[i]), bank.b1[i]))
+    return add(row_product(h, bank.w2[i]), bank.b2[i])
+
+
 def composed_experts(x, gates, indices, bank):
     """Per expert: gather its tokens, run it, scale by the gate; then combine."""
     b, t, d = x.shape
@@ -101,7 +124,7 @@ def composed_experts(x, gates, indices, bank):
     for i in range(n):
         rows = np.nonzero((idx_flat == i).any(axis=1))[0]
         if rows.size:
-            out_i = bank.apply(gather_rows(x_flat, rows), i)
+            out_i = apply_expert(bank, gather_rows(x_flat, rows), i)
             segments.append((rows, mul(gather_rows(gate_rows, rows * n + i), out_i)))
     return reshape(combine_rows(segments, m), (b, t, d))
 
@@ -304,7 +327,8 @@ def composed_add_mul(x, a, c):
 @pytest.mark.parametrize("x_takes_grad", [True, False], ids=["residual", "perturb"])
 def test_add_mul_matches_composition_bitwise(dtype, x_takes_grad):
     """As the block's dropout-add (x a recorded input, c a dropout mask) and
-    as ``perturb``'s ``x * n1 + n2`` (the constant n2 in x's place)."""
+    as the noise perturbation ``x * n1 + n2`` (the constant n2 in x's
+    place), the form ``stack_affine``'s lower half rounds as."""
     rng = np.random.default_rng(7)
     shape = (2, 5, 6)
     x, a = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
@@ -386,23 +410,64 @@ def composed_mix(g, a, b):
 @pytest.mark.parametrize("dtype", DTYPES)
 def test_mix_matches_composition_bitwise(dtype):
     """The weight is a sigmoid output, as the blend gate makes it, so its two
-    gradient terms meet on the tape, not in a leaf."""
+    gradient terms meet on the tape, not in a leaf. The fused op blends the
+    halves of one stacked operand, as the two-path layer's expert output is;
+    ``concat`` hands each leaf its half of the stacked gradient."""
     rng = np.random.default_rng(11)
     z = rng.standard_normal((2, 5, 1)).astype(dtype)
     a, b = (rng.standard_normal((2, 5, 6)).astype(dtype) for _ in range(2))
-    fused = run_both(lambda z, a, b: mix(sigmoid(z), a, b),
+    fused = run_both(lambda z, a, b: mix(sigmoid(z), concat(a, b)),
                      lambda z, a, b: composed_mix(sigmoid(z), a, b), [z, a, b], seed=2)
     assert_bitwise(*fused)
-    assert np.array_equal(untaped(lambda z, a, b: mix(sigmoid(z), a, b), [z, a, b]), fused[0][0])
+    assert np.array_equal(untaped(lambda z, a, b: mix(sigmoid(z), concat(a, b)), [z, a, b]), fused[0][0])
 
 
 def test_mix_records_one_entry_and_rejects_bad_shapes():
-    a = Tensor(np.ones((2, 3, 4)), requires_grad=True)
+    y = Tensor(np.ones((4, 3, 4)), requires_grad=True)
     with Tape() as tape:
-        mix(Tensor(np.full((2, 3, 1), 0.25), requires_grad=True), a, a)
+        mix(Tensor(np.full((2, 3, 1), 0.25), requires_grad=True), y)
         assert len(tape) == 1
     with pytest.raises(ShapeError, match="mix"):
-        mix(Tensor(np.ones((2, 3, 4))), a, a)
+        mix(Tensor(np.ones((2, 3, 4))), y)
+    with pytest.raises(ShapeError, match="mix"):
+        mix(Tensor(np.ones((4, 3, 1))), y)
+
+
+# ---------------------------------------------------------------------------
+# the two-path batch: a stacked on a * c + s
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("noisy", [True, False], ids=["noise", "no-noise"])
+def test_stack_affine_matches_composition_bitwise(dtype, noisy):
+    """As ``perturb`` makes the two-path batch (x on x * n1 + n2) and as the
+    layer stacks x on itself with its noise switched off: equal to
+    concatenating x and its separately made copy."""
+    rng = np.random.default_rng(13)
+    shape = (3, 4, 5)
+    a = rng.standard_normal(shape).astype(dtype)
+    c = rng.normal(1.0, 0.3, size=shape).astype(dtype)
+    s = rng.standard_normal(shape).astype(dtype)
+    if noisy:
+        fused = run_both(lambda a: stack_affine(a, c, s), lambda a: concat(a, add_mul(Tensor(s), a, c)), [a], seed=4)
+    else:
+        fused = run_both(lambda a: stack_affine(a), lambda a: concat(a, a), [a], seed=4)
+    assert_bitwise(*fused)
+    assert fused[0][0].shape == (6, 4, 5)
+    assert np.array_equal(untaped(lambda a: stack_affine(a, c, s) if noisy else stack_affine(a), [a]), fused[0][0])
+
+
+def test_stack_affine_records_one_entry_and_rejects_bad_shapes():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Tape() as tape:
+        stack_affine(a, np.full((2, 3), 2.0), np.ones((2, 3)))
+        assert len(tape) == 1
+    with pytest.raises(ShapeError, match="stack-affine"):
+        stack_affine(a, np.ones(3), np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="stack-affine"):
+        stack_affine(a, np.ones((2, 3)))
+    with pytest.raises(ShapeError, match="concat"):
+        concat(a, Tensor(np.ones((2, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +537,34 @@ def test_experts_match_composition_on_routed_batches(seed):
         x = rng.standard_normal((2, 7, 6)).astype(dtype)
         decision = route(Tensor(x), make_router(n, 6, "smoe", RngStream(seed), dtype=dtype), k)
         check_experts(decision.indices, n=n, dtype=dtype, seed=seed)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("d, d_exp, m", [(128, 256, 64), (32, 16, 320)], ids=["desk", "narrow"])
+def test_expert_input_gradient_rows_do_not_depend_on_slab_height(dtype, d, d_exp, m):
+    """The rows of a 1- to 12-row expert slab get the same input gradient as
+    the same rows inside a tall slab, so a clean row's gradient does not
+    depend on how many noisy rows share its expert. At desk widths a
+    transposed-view product rounds a slab of up to 9 rows apart, and at the
+    narrow ones up to 75."""
+    rng = np.random.default_rng(17)
+    bank = ExpertBank(2, d, d_exp, RngStream(17), dtype=dtype)
+    x = rng.standard_normal((1, m, d)).astype(dtype)
+    gates = rng.uniform(0.1, 1.0, (1, m, 2)).astype(dtype)
+    c = rng.standard_normal((1, m, d)).astype(dtype)
+
+    def input_gradient(indices):
+        xt = Tensor(x.copy(), requires_grad=True)
+        with Tape():
+            out = expert_ffn(xt, Tensor(gates), indices, bank.w1, bank.b1, bank.w2, bank.b2)
+            backward(tsum(mul(out, Tensor(c))))
+        return xt.grad[0]
+
+    tall = input_gradient(np.zeros((1, m, 1), dtype=np.int64))
+    for rows in range(1, 13):
+        indices = np.ones((1, m, 1), dtype=np.int64)
+        indices[0, :rows] = 0
+        assert np.array_equal(input_gradient(indices)[:rows], tall[:rows]), rows
 
 
 def test_experts_record_one_tape_entry_and_skip_idle_experts():

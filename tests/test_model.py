@@ -242,7 +242,9 @@ def test_training_step_holds_only_what_its_backward_reads():
     (39.6 MiB then), below what it held while attention kept its
     probabilities and dropout float masks (27.3 MiB), and below what it held
     while the attention backward filled the whole (B, h, T, T) square
-    (20.6 MiB; 13.6 MiB when this bound was set)."""
+    (20.6 MiB; 13.6 MiB after that, under a 16 MiB bound). Since the
+    two-path layer stacks its paths and the expert backward frees each slab
+    once used, it peaks at 13.4 MiB (when this bound was set)."""
     train_mod = importlib.import_module("s2moe.train")
     cfg = dataclasses.replace(preset("desk"), n_layers=1, d_model=64, n_heads=4, d_exp=128,
                               n_experts=4, seq_len=512, batch_size=2, variant="s2moe",
@@ -257,4 +259,4 @@ def test_training_step_holds_only_what_its_backward_reads():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"step peak {peak / 2**20:.1f} MiB"
+    assert peak < 15 * 2**20, f"step peak {peak / 2**20:.1f} MiB"

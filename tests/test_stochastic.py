@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from s2moe.experts import moe_combine
+from s2moe.losses import balance_loss
 from s2moe.moe import S2MoeLayer, SmoeLayer
+from s2moe.routing import route
 from s2moe.stochastic import (
     RngStream,
     blend_gate,
@@ -11,7 +14,7 @@ from s2moe.stochastic import (
     make_blend_gate,
     perturb,
 )
-from s2moe.tensor import Tape, Tensor, backward, tsum
+from s2moe.tensor import Tape, Tensor, add, add_mul, backward, mean, mul, sub, tsum
 
 F64 = np.float64
 
@@ -49,7 +52,8 @@ class TestPerturb:
         x = Tensor(np.full((2, 3, 4), 0.5, dtype=F64))
         stats = compute_batch_stats(x)
         out = perturb(x, stats, RngStream(0))
-        np.testing.assert_allclose(out.data, x.data + stats.mu, atol=1e-15)
+        assert out.shape == (4, 3, 4) and out.data[:2].tobytes() == x.data.tobytes()
+        np.testing.assert_allclose(out.data[2:], x.data + stats.mu, atol=1e-15)
 
     def test_same_seed_counter_reproduces(self):
         rng = np.random.default_rng(1)
@@ -69,7 +73,7 @@ class TestPerturb:
         n = 10_000
         acc = np.zeros_like(x)
         for _ in range(n):
-            acc += perturb(xt, stats, stream).data
+            acc += perturb(xt, stats, stream).data[2:]
         acc /= n
         target = x + stats.mu
         bound = 4.0 * np.broadcast_to(stats.sigma, x.shape) / np.sqrt(n)
@@ -82,10 +86,10 @@ class TestPerturb:
             stats = compute_batch_stats(x)
             out = perturb(x, stats, RngStream(11, counter=2))
             backward(tsum(out))
-        # d(n1 * x + n2)/dx = n1, recover the draw and compare
+        # d(x + n1 * x + n2)/dx = 1 + n1, recover the draw and compare
         n1 = RngStream(11, counter=2).normal(x.shape, loc=1.0,
                                              scale=np.broadcast_to(stats.sigma, x.shape))
-        np.testing.assert_allclose(x.grad, n1, rtol=1e-12)
+        np.testing.assert_allclose(x.grad, 1.0 + n1, rtol=1e-12)
 
 
 class TestBlendGate:
@@ -235,3 +239,66 @@ def test_reduction_property_forward_and_gradients():
             a = a if a is not None else np.zeros_like(t.data)
             b = b if b is not None else np.zeros_like(t.data)
             assert np.max(np.abs(a - b)) < 1e-10, name
+
+
+def per_path_forward(layer, x, k, rng):
+    """The two-path layer as separate paths: x_hat made apart from x, each
+    path routed and combined on its own, then blended by the composition of
+    small ops; returns the output, both decisions and the pooled pair."""
+    stats = compute_batch_stats(x)
+    sigma = np.broadcast_to(stats.sigma, x.shape)
+    n1 = rng.normal(x.shape, loc=1.0, scale=sigma).astype(x.dtype)
+    n2 = rng.normal(x.shape, loc=np.broadcast_to(stats.mu, x.shape), scale=sigma).astype(x.dtype)
+    x_hat = add_mul(Tensor(n2), x, n1)
+    dec, dec_n = route(x, layer.router, k), route(x_hat, layer.router, k)
+    y_clean, y_noisy = moe_combine(x, dec, layer.experts), moe_combine(x_hat, dec_n, layer.experts)
+    g = blend_gate(x, layer.blend)
+    y = add(mul(g, y_clean), mul(sub(Tensor(np.asarray(1.0, dtype=g.dtype)), g), y_noisy))
+    return y, dec, dec_n, mean(x, axis=1), mean(x_hat, axis=1)
+
+
+def two_path_loss(y, dec, pooled_clean, pooled_noisy, seed):
+    """A loss that reads every differentiable output of the layer."""
+    rng = np.random.default_rng(seed)
+    c_y, c_clean, c_noisy = (Tensor(rng.standard_normal(t.shape).astype(t.dtype))
+                             for t in (y, pooled_clean, pooled_noisy))
+    return tsum(mul(y, c_y)) + balance_loss(dec) + tsum(mul(pooled_clean, c_clean)) \
+        + tsum(mul(pooled_noisy, c_noisy))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_stacked_two_path_layer_equals_per_path_composition(dtype):
+    """The layer runs x and x_hat as one stacked batch through one route and
+    one expert combine. Its output, both decisions and the pooled pair equal
+    the per-path composition bit for bit; the f64 gradients of x and of
+    every parameter agree within 1e-12 relative (the router and expert
+    weight gradients sum both paths' rows in one product)."""
+    layer = S2MoeLayer(16, 8, 32, RngStream(3), dtype=dtype)
+    x_data = np.random.default_rng(4).standard_normal((4, 24, 16)).astype(dtype)
+    results = []
+    for stacked in (True, False):
+        for _, p in layer.parameters():
+            p.zero_grad()
+        layer.experts.invocations = 0
+        with Tape():
+            x = Tensor(x_data.copy(), requires_grad=True)
+            if stacked:
+                y, aux = layer.forward(x, k=2, rng=RngStream(9))
+                dec, dec_n, pc, pn = aux.decision, aux.decision_noisy, aux.pooled_clean, aux.pooled_noisy
+                assert aux.moe_input is None
+            else:
+                y, dec, dec_n, pc, pn = per_path_forward(layer, x, 2, RngStream(9))
+            backward(two_path_loss(y, dec, pc, pn, seed=5))
+        assert layer.experts.invocations == 2 * 4 * 24 * 2
+        arrays = [y.data, pc.data, pn.data] + [a for d in (dec, dec_n)
+                                               for a in (d.probs.data, d.indices, d.gates.data)]
+        grads = [x.grad] + [p.grad for _, p in layer.parameters()]
+        results.append((arrays, grads))
+    (arrays, grads), (want_arrays, want_grads) = results
+    for got, want in zip(arrays, want_arrays):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    if dtype == F64:
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -32,6 +32,7 @@ from s2moe.tensor import (
     mean,
     mul,
     power,
+    rebase,
     relu,
     reshape,
     set_nan_guard,
@@ -385,6 +386,26 @@ class TestTapeLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_rebased_node_keeps_the_new_array_and_takes_the_gradient(self):
+        """An op on ``rebase(h, copy)`` records h's node, so h's inputs get the
+        gradient, and keeps the copy, so h's own array is freed with h. A
+        constant is rebased as a constant and a leaf is returned as it is."""
+        w = t64([[1.0], [-2.0]], rg=True)
+        x = t64([[3.0, 4.0]], rg=True)
+        with Tape():
+            h = mul(x, x)
+            stacked = np.concatenate([h.data, h.data])
+            alive = weakref.ref(h.data)
+            r = rebase(h, stacked[:1])
+            del h
+            assert alive() is None
+            backward(tsum(matmul(r, w)))
+        np.testing.assert_array_equal(x.grad, [[6.0, -16.0]])
+        np.testing.assert_array_equal(w.grad, [[9.0], [16.0]])
+        const = rebase(t64([1.0]), np.array([1.0]))
+        assert not const.requires_grad and const.tape is None
+        assert rebase(x, x.data.copy()) is x
 
     def test_backward_through_dropped_records_rejected(self):
         """Two losses sharing a subgraph: the first backward drops the shared
