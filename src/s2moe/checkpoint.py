@@ -142,8 +142,8 @@ def apply_tensors(named_params: list[tuple[str, "np.ndarray"]], ckpt: Checkpoint
     validating names and shapes.
 
     The arrays are adopted, not copied (one is converted only if its dtype
-    differs), and Adam updates its moments in place: pass a checkpoint fresh
-    from ``load_checkpoint``, whose arrays nothing else holds.
+    differs), and Adam updates parameters and moments in place: pass a
+    checkpoint fresh from ``load_checkpoint``, whose arrays nothing else holds.
     """
     stored = dict(ckpt.tensors)
     for name, tensor in named_params:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, matmul, sigmoid, stack_affine
+from .tensor import Tensor, add, in_parallel, matmul, sigmoid, stack_affine
 
 
 @dataclass
@@ -44,13 +44,14 @@ class RngStream:
         bg.advance(self.counter << 64)
         return np.random.Generator(bg)
 
-    def normal(self, shape, loc=0.0, scale=1.0) -> np.ndarray:
+    def normal(self, shape, loc=0.0, scale=1.0, out: np.ndarray | None = None) -> np.ndarray:
+        """A float64 draw, written to ``out`` when given."""
         g = self._generator()
         self.counter += 1
         # standard draws plus affine transform: the per-element-scale path of
         # Generator.normal is an order of magnitude slower; in place, it
         # rounds as loc + scale * z does and holds one array of the draw
-        z = g.standard_normal(shape)
+        z = g.standard_normal(shape, out=out)
         z *= scale
         z += loc
         return z
@@ -98,12 +99,25 @@ def compute_batch_stats(x: Tensor) -> NoiseStats:
 def perturb(x: Tensor, stats: NoiseStats, rng: RngStream) -> Tensor:
     """x (B, ...) stacked on its noise-augmented copy ``n1 * x + n2``, as one
     (2B, ...) array written where the copy is made; gradient flows through
-    x only. The lower half rounds as ``add_mul(Tensor(n2), x, n1)`` does."""
+    x only. The lower half rounds as ``add_mul(Tensor(n2), x, n1)`` does.
+
+    n1 and n2 are the stream's next two draws, each from its own counter, so
+    they are drawn at once (``in_parallel``) into arrays made here."""
     shape = x.shape
     sigma = np.broadcast_to(stats.sigma, shape)
-    n1 = rng.normal(shape, loc=1.0, scale=sigma).astype(x.dtype)
-    n2 = rng.normal(shape, loc=np.broadcast_to(stats.mu, shape), scale=sigma).astype(x.dtype)
-    return stack_affine(x, n1, n2)
+    locs = (1.0, np.broadcast_to(stats.mu, shape))
+    draws = [RngStream(rng.seed, rng.counter + i) for i in range(2)]
+    rng.counter += 2
+    z = [np.empty(shape) for _ in range(2)]
+    n = z if x.dtype == np.float64 else [np.empty(shape, x.dtype) for _ in range(2)]
+
+    def draw(i):
+        draws[i].normal(shape, loc=locs[i], scale=sigma, out=z[i])
+        if n[i] is not z[i]:
+            np.copyto(n[i], z[i])  # rounds as astype does
+
+    in_parallel(lambda: draw(0), lambda: draw(1))
+    return stack_affine(x, *n)
 
 
 def blend_gate(x: Tensor, params: BlendGateParams) -> Tensor:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
@@ -51,6 +52,107 @@ def _pin_allocator() -> None:
 
 
 _pin_allocator()
+
+
+def _pin_blas() -> bool:
+    """Run the OpenBLAS that numpy loaded on one thread; True when it could be asked.
+
+    A multi-threaded GEMM rounds apart from a one-thread one past some
+    reduction lengths, so results would depend on ``OPENBLAS_NUM_THREADS``;
+    and after every call OpenBLAS's idle workers spin on the other cores for
+    their timeout, which starves any other thread of this process. Pinned,
+    the program's own two-part splits (``in_parallel``) use a second core.
+    The library is found where the numpy wheel keeps it, as perfbench's
+    ``blas_threads`` finds it."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        names = [name for name in os.listdir(libdir) if "openblas" in name]
+    except OSError:
+        names = []
+    for name in names:
+        try:
+            lib = ctypes.CDLL(os.path.join(libdir, name))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (ctypes.c_int,), None
+                fn(1)
+                return True
+    return False
+
+
+_blas_pinned = _pin_blas()
+
+
+class _Helper:
+    """A daemon thread that runs the second part of ``in_parallel``, started
+    on first use. It waits on a lock, so it holds up no interpreter exit; a
+    child forked from this process has no copy of it and starts its own
+    (``os.register_at_fork``)."""
+
+    def __init__(self):
+        self.busy, self.posted, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.posted.acquire()
+        self.done.acquire()
+        self.part: Callable[[], object] | None = None
+        self.result: tuple[object, BaseException | None] | None = None
+        threading.Thread(target=self.serve, name="s2moe-helper", daemon=True).start()
+
+    def serve(self) -> None:
+        while True:
+            self.posted.acquire()
+            try:
+                self.result = (self.part(), None)
+            except BaseException as err:  # the caller re-raises it
+                self.result = (None, err)
+            self.part = None
+            self.done.release()
+
+
+_helper: _Helper | bool | None = None  # None until first use; False where parts run one after the other
+
+
+def _reset_helper() -> None:
+    global _helper
+    _helper = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_helper)
+
+
+def in_parallel(first: Callable[[], object], second: Callable[[], object]) -> tuple[object, object]:
+    """``(first(), second())``, with ``second`` run on the helper thread while
+    the caller runs ``first``. Both parts must work on numpy arrays only and
+    write disjoint outputs, so the result is the same bits as one after the
+    other; an exception in either part reaches the caller once both have
+    ended. The parts run one after the other, the second only if the first
+    returns, when the process can use only one CPU, when BLAS could not be
+    pinned to one thread (its own threads would then contend for the cores),
+    or when a split is already running."""
+    global _helper
+    if _helper is None:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _helper = _blas_pinned and cpus > 1 and _Helper()
+    helper = _helper
+    if not helper or not helper.busy.acquire(blocking=False):
+        return first(), second()
+    try:
+        helper.part = second
+        helper.posted.release()
+        try:
+            a = first()
+        finally:
+            helper.done.acquire()
+            (b, err), helper.result = helper.result, None
+        if err is not None:
+            raise err
+        return a, b
+    finally:
+        helper.busy.release()
 
 
 class TensorError(Exception):
@@ -576,14 +678,18 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return _finish("concat", np.concatenate([a.data, b.data]), (a, b), bw)
 
 
-def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, keeping a single-row 2-D product on the same BLAS kernel as
-    a multi-row one (numpy sends a 1 x K product to gemv, which rounds
-    differently), so a token's result does not depend on how many rows share
-    its slab."""
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, written to ``out`` when given, keeping a single-row 2-D
+    product on the same BLAS kernel as a multi-row one (numpy sends a 1 x K
+    product to gemv, which rounds differently), so a token's result does not
+    depend on how many rows share its slab."""
     if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
-        return (np.concatenate([a, a]) @ b)[:1]
-    return a @ b
+        product = (np.concatenate([a, a]) @ b)[:1]
+        if out is None:
+            return product
+        out[...] = product
+        return out
+    return np.matmul(a, b, out=out)
 
 
 _SMALL_PRODUCT = 4096  # output elements; see _gemm_t
@@ -601,11 +707,41 @@ def _gemm_t(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.n
     well (ROADMAP item 3). The product is written to ``out`` when given."""
     if a.shape[0] * w.shape[0] > _SMALL_PRODUCT:
         return np.matmul(a, w.T, out=out)
-    product = _gemm(a, np.ascontiguousarray(w.T))
-    if out is None:
-        return product
-    out[...] = product
-    return out
+    return _gemm(a, np.ascontiguousarray(w.T), out=out)
+
+
+def _product(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.data @ b.data``, written to ``out`` when given; a (..., K) @ (K, N)
+    product as one (rows, K) GEMM."""
+    if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or the right operand is 1-D")
+    if a.data.ndim > 2 and b.data.ndim == 2:
+        flat = None if out is None else out.reshape(-1, b.shape[-1])
+        return _gemm(a.data.reshape(-1, a.shape[-1]), b.data, out=flat).reshape(*a.shape[:-1], b.shape[-1])
+    return _gemm(a.data, b.data, out=out)
+
+
+def _record_product(a: Tensor, b: Tensor, out: np.ndarray) -> Tensor:
+    a_data, b_data = a.data, b.data
+    flat = a_data.ndim > 2 and b_data.ndim == 2
+    rows = int(np.prod(a.shape[:-1]))
+
+    def bw(g):
+        if a_data.ndim == 1:
+            # (n,) @ (n, m) -> (m,)
+            return [g @ b_data.T, np.outer(a_data, g)]
+        if not flat:
+            ga = g @ np.swapaxes(b_data, -1, -2)
+            gb = np.swapaxes(a_data, -1, -2) @ g
+            return [_unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)]
+        # the two products at once, each whole, into arrays made here
+        ga = np.empty((rows, a_data.shape[-1]), dtype=np.result_type(g, b_data))
+        gb = np.empty(a_data.shape[:-2] + b_data.shape, dtype=np.result_type(a_data, g))
+        in_parallel(lambda: np.matmul(g.reshape(rows, g.shape[-1]), b_data.T, out=ga),
+                    lambda: np.matmul(np.swapaxes(a_data, -1, -2), g, out=gb))
+        return [ga.reshape(a_data.shape), _unbroadcast(gb, b_data.shape)]
+
+    return _finish("matmul", out, (a, b), bw)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -614,30 +750,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     A (..., K) @ (K, N) product runs as one full-height (rows, K) @ (K, N)
     GEMM, forward and input gradient. Its weight gradient stays one product
     per leading index, summed afterwards, so no product reduces over more
-    than one sequence's tokens.
+    than one sequence's tokens. Its backward forms the two gradients at once
+    (``in_parallel``). No product is split by rows: a split GEMM can round
+    apart from the whole one even on one BLAS thread.
     """
-    if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or the right operand is 1-D")
-    a_data, b_data = a.data, b.data
-    flat = a_data.ndim > 2 and b_data.ndim == 2
-    rows = int(np.prod(a.shape[:-1]))
-    if flat:
-        out = _gemm(a_data.reshape(rows, a.shape[-1]), b_data).reshape(*a.shape[:-1], b.shape[-1])
-    else:
-        out = _gemm(a_data, b_data)
+    return _record_product(a, b, _product(a, b))
 
-    def bw(g):
-        if a_data.ndim == 1:
-            # (n,) @ (n, m) -> (m,)
-            return [g @ b_data.T, np.outer(a_data, g)]
-        if flat:
-            ga = (g.reshape(rows, g.shape[-1]) @ b_data.T).reshape(a_data.shape)
-        else:
-            ga = g @ np.swapaxes(b_data, -1, -2)
-        gb = np.swapaxes(a_data, -1, -2) @ g
-        return [_unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)]
 
-    return _finish("matmul", out, (a, b), bw)
+def matmuls(a: Tensor, bs: Sequence[Tensor]) -> list[Tensor]:
+    """``[matmul(a, b) for b in bs]`` for 2-D ``bs``, with the products formed
+    as two parts at once (``in_parallel``), into arrays made here, and
+    recorded in order."""
+    outs = [np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.result_type(a.data, b.data)) for b in bs]
+    cut = (len(bs) + 1) // 2
+    in_parallel(lambda: [_product(a, b, out) for b, out in zip(bs[:cut], outs[:cut])],
+                lambda: [_product(a, b, out) for b, out in zip(bs[cut:], outs[cut:])])
+    return [_record_product(a, b, out) for b, out in zip(bs, outs)]
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +902,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     array exists. Up to T = 128 every product sums the same nonzero terms in
     the same order as a full-square backward, so the gradients equal its bit
     for bit; past that the shorter reductions may round apart.
+
+    The forward and the backward each run the two halves of the batch's
+    sequences at once (``in_parallel``), each half in arrays the caller
+    made: every (b, h) slice is its own product, so no bit changes.
     """
     if not q.shape == k.shape == v.shape or q.data.ndim != 3:
         raise ShapeError(f"causal-attention: q, k, v must share one (B, T, d) shape, "
@@ -793,8 +925,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     scale = dtype.type(1.0 / np.sqrt(dh))
     tiles = _tiles(t)
 
-    def scores(r0, r1):  # one tile's scaled, masked scores, (B, h, r1 - r0, r1)
-        s = qh[:, :, r0:r1] @ kt[..., :r1]
+    def scores(b0, b1, r0, r1):  # one tile's scaled, masked scores, (b1 - b0, h, r1 - r0, r1)
+        s = qh[b0:b1, :, r0:r1] @ kt[b0:b1, ..., :r1]
         s *= scale
         s[..., r0:] += _causal_mask(r1 - r0, dtype)
         return s
@@ -803,73 +935,132 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int) -> Tensor:
     row_max = np.empty((b, h, t, 1), dtype=dtype) if recording else None
     row_sum = np.empty((b, h, t, 1), dtype=dtype) if recording else None
     out = np.empty((b, t, h, dh), dtype=dtype)
-    for r0, r1 in tiles:
-        s = scores(r0, r1)
-        top = s.max(axis=-1, keepdims=True)
-        s -= top
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        s /= total
-        out[:, r0:r1] = (s @ vh[:, :, :r1]).transpose(0, 2, 1, 3)
-        if recording:
-            row_max[:, :, r0:r1], row_sum[:, :, r0:r1] = top, total
+
+    def forward(b0, b1):  # the sequences b0:b1
+        for r0, r1 in tiles:
+            s = scores(b0, b1, r0, r1)
+            top = s.max(axis=-1, keepdims=True)
+            s -= top
+            np.exp(s, out=s)
+            total = s.sum(axis=-1, keepdims=True)
+            s /= total
+            out[b0:b1, r0:r1] = (s @ vh[b0:b1, :, :r1]).transpose(0, 2, 1, 3)
+            if recording:
+                row_max[b0:b1, :, r0:r1], row_sum[b0:b1, :, r0:r1] = top, total
+
+    _split(forward, b, b // 2)
 
     def bw(g):
         # contiguous copies: on transposed views the products of q's and k's
         # gradients round apart from a full-square backward's, even at T <= 128
-        gh = np.ascontiguousarray(split(g))
-        vt = np.ascontiguousarray(vh.transpose(0, 1, 3, 2))  # (B, h, dh, T)
-        kc = np.ascontiguousarray(kt.transpose(0, 1, 3, 2))  # (B, h, T, dh)
-        # rows c0: of key columns c0:c1, per column tile, of p and of the
-        # scores' gradient; rows above c0 are zero there and never stored
-        p_cols = [np.empty((b, h, t - c0, c1 - c0), dtype=dtype) for c0, c1 in tiles]
-        gs_cols = [np.empty_like(block) for block in p_cols]
-        gq = np.empty((b, t, h, dh), dtype=dtype)  # the gradients merge their heads as they are written
-        for r0, r1 in tiles:  # row pass: columns :r1 of each query tile
-            p = scores(r0, r1)
-            p -= row_max[:, :, r0:r1]
-            np.exp(p, out=p)
-            p /= row_sum[:, :, r0:r1]
-            gs = gh[:, :, r0:r1] @ vt[..., :r1]
-            gs -= (gs * p).sum(axis=-1, keepdims=True)
-            gs *= p
-            gs *= scale
-            gq[:, r0:r1] = (gs @ kc[:, :, :r1]).transpose(0, 2, 1, 3)
-            for (c0, c1), p_col, gs_col in zip(tiles, p_cols, gs_cols):
-                if c0 >= r1:
-                    break
-                p_col[:, :, r0 - c0:r1 - c0] = p[..., c0:c1]
-                gs_col[:, :, r0 - c0:r1 - c0] = gs[..., c0:c1]
-        gk, gv = np.empty_like(gq), np.empty_like(gq)
-        for i, (c0, c1) in enumerate(tiles):  # column pass: one product per block
-            gv[:, c0:c1] = (p_cols[i].transpose(0, 1, 3, 2) @ gh[:, :, c0:]).transpose(0, 2, 1, 3)
-            gk[:, c0:c1] = (qh[:, :, c0:].transpose(0, 1, 3, 2) @ gs_cols[i]).transpose(0, 3, 1, 2)
-            p_cols[i] = gs_cols[i] = None
+        gh = np.empty((b, h, t, dh), dtype=dtype)
+        vt = np.empty((b, h, dh, t), dtype=dtype)
+        kc = np.empty((b, h, t, dh), dtype=dtype)
+        # the gradients merge their heads as they are written
+        gq, gk, gv = (np.empty((b, t, h, dh), dtype=dtype) for _ in range(3))
+        g_heads = split(g)
+        # per part of the batch, rows c0: of key columns c0:c1, per column
+        # tile, of p and of the scores' gradient; rows above c0 are zero
+        # there and never stored
+        blocks = {b0: [[np.empty((b1 - b0, h, t - c0, c1 - c0), dtype=dtype) for c0, c1 in tiles]
+                       for _ in range(2)] for b0, b1 in ((0, b // 2), (b // 2, b)) if b1 > b0}
+
+        def backward(b0, b1):  # the sequences b0:b1
+            p_cols, gs_cols = blocks.pop(b0)
+            gh[b0:b1], vt[b0:b1] = g_heads[b0:b1], vh[b0:b1].transpose(0, 1, 3, 2)
+            kc[b0:b1] = kt[b0:b1].transpose(0, 1, 3, 2)
+            for r0, r1 in tiles:  # row pass: columns :r1 of each query tile
+                p = scores(b0, b1, r0, r1)
+                p -= row_max[b0:b1, :, r0:r1]
+                np.exp(p, out=p)
+                p /= row_sum[b0:b1, :, r0:r1]
+                gs = gh[b0:b1, :, r0:r1] @ vt[b0:b1, ..., :r1]
+                gs -= (gs * p).sum(axis=-1, keepdims=True)
+                gs *= p
+                gs *= scale
+                gq[b0:b1, r0:r1] = (gs @ kc[b0:b1, :, :r1]).transpose(0, 2, 1, 3)
+                for (c0, c1), p_col, gs_col in zip(tiles, p_cols, gs_cols):
+                    if c0 >= r1:
+                        break
+                    p_col[:, :, r0 - c0:r1 - c0] = p[..., c0:c1]
+                    gs_col[:, :, r0 - c0:r1 - c0] = gs[..., c0:c1]
+            for i, (c0, c1) in enumerate(tiles):  # column pass: one product per block, freed after it
+                gv[b0:b1, c0:c1] = (p_cols[i].transpose(0, 1, 3, 2) @ gh[b0:b1, :, c0:]).transpose(0, 2, 1, 3)
+                gk[b0:b1, c0:c1] = (qh[b0:b1, :, c0:].transpose(0, 1, 3, 2) @ gs_cols[i]).transpose(0, 3, 1, 2)
+                p_cols[i] = gs_cols[i] = None
+
+        _split(backward, b, b // 2)
         return [gq.reshape(b, t, d), gk.reshape(b, t, d), gv.reshape(b, t, d)]
 
     return _finish("causal-attention", out.reshape(b, t, d), (q, k, v), bw)
+
+
+def _halves(sizes: Sequence[int]) -> int:
+    """The cut ``j`` that splits ``sizes`` into ``[:j]`` and ``[j:]`` of
+    nearly equal sums, each part non-empty; 0 for fewer than two sizes."""
+    if len(sizes) < 2:
+        return 0
+    cum = np.cumsum(sizes)
+    return int(np.argmin(np.abs(2 * cum[:-1] - cum[-1]))) + 1
+
+
+def _split(part: Callable[[int, int], None], n: int, cut: int) -> None:
+    """``part(0, cut)`` and ``part(cut, n)`` at once; ``part(0, n)`` alone when ``cut`` is 0."""
+    if cut:
+        in_parallel(lambda: part(0, cut), lambda: part(cut, n))
+    else:
+        part(0, n)
+
+
+def _gather_sum(out: np.ndarray, slab: np.ndarray, slots: np.ndarray, scale: np.ndarray | None = None,
+                term: np.ndarray | None = None) -> None:
+    """``out`` = ``((0 + t0) + t1) + ...`` per row, over the terms
+    ``t_j = slab[slots[:, j]]``, each times ``scale[slots[:, j]]`` when given,
+    gathered into ``term`` (an array of ``out``'s shape) when given.
+
+    The sum starts from the first term rather than zero and adds zero last:
+    that rounds alike, except that a row of -0.0 terms comes out +0.0 only
+    through the last add, as it does from zero."""
+    np.take(slab, slots[:, 0], axis=0, out=out, mode="clip")
+    if scale is not None:
+        out *= scale[slots[:, 0]]
+    if term is None and slots.shape[1] > 1:
+        term = np.empty_like(out)
+    for j in range(1, slots.shape[1]):
+        np.take(slab, slots[:, j], axis=0, out=term, mode="clip")
+        if scale is not None:
+            term *= scale[slots[:, j]]
+        out += term
+    out += out.dtype.type(0)
 
 
 def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tensor],
                b1: Sequence[Tensor], w2: Sequence[Tensor], b2: Sequence[Tensor]) -> Tensor:
     """Routed two-layer ReLU experts: row r of ``x`` (..., d) gets
     sum_j gates[r, e] * (relu(x[r] @ w1[e] + b1[e]) @ w2[e] + b2[e]) over
-    its selected experts e = indices[r, j].
+    its k selected experts e = indices[r, j], which must be distinct.
 
-    A stable sort groups the (row, slot) pairs by expert with rows ascending,
-    and each expert runs its GEMMs on its gathered rows. A row's
-    contributions are summed from zero in ascending expert order; the
-    backward sums its dx in descending expert order. Experts no row selects
-    are never run and get no gradient. Each expert's hidden and output slabs
-    are kept for the backward only when the op records, and the backward
-    writes each expert's temporaries into them and then frees them; its
-    gathered input rows
-    are not kept, the backward gathers them again. The backward gathers each
-    expert's output-gradient rows inside its loop, so it holds one expert's
-    rows at a time, never the whole batch's k slots. Its row products by
-    transposed weights run through ``_gemm_t``, so at power-of-two widths a
-    row's input gradient, like its output, does not depend on how many rows
-    share its expert.
+    One stable sort orders the (row, slot) pairs by expert, rows ascending,
+    and each expert runs its GEMMs on its gathered rows. No expert writes
+    rows another one writes, so the experts run as two groups of about equal
+    row count at once (``in_parallel``), bit for bit as one after the other.
+    Experts no row selects are never run and get no gradient.
+
+    Each expert writes its output rows into one slab in sorted order; the
+    combine gathers each row's k rows in ascending expert order, scales each
+    by its gate and sums them from zero (``_gather_sum``). The backward
+    writes each expert's input-gradient rows over its spent output rows, and
+    the unsort sums a row's in descending expert order.
+
+    The slab and each expert's hidden rows are kept only when the op
+    records; the backward frees each expert's hidden rows after it, and
+    gathers the input rows again. The groups work in arrays the caller
+    makes, buffers of their tallest expert among them, so the helper thread
+    allocates little: the caller's group allocates its weight gradients as
+    it frees hidden rows, the helper's go into arrays made up front.
+    Products by transposed weights run through ``_gemm_t``, so at
+    power-of-two widths a row's input gradient, like its output, does not
+    depend on how many rows share its expert.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -883,50 +1074,84 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
         raise ShapeError(f"expert-ffn: expert index outside [0, {n})")
     inputs = (x, gates, *w1, *b1, *w2, *b2)
     recording = _recording(inputs)
+    k, pairs, dtype, d_exp = flat.size // m, flat.size, xf.dtype, w1[0].shape[1]
     order = np.argsort(flat, kind="stable")
-    rows, experts = order // (flat.size // m), flat[order]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=n))])
-    used = [i for i in range(n) if bounds[i + 1] > bounds[i]]
+    rows, experts = order // k, flat[order]
+    if k > 1 and np.any((rows[1:] == rows[:-1]) & (experts[1:] == experts[:-1])):
+        raise ShapeError("expert-ffn: a row selects one expert twice")
+    counts = np.bincount(flat, minlength=n)
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    used = [i for i in range(n) if counts[i]]
+    cut = _halves(counts[used])
+    groups = [(0, cut), (cut, len(used))] if cut else [(0, len(used))]
+    tallest = {a: int(counts[used[a:b]].max()) for a, b in groups}
     gate = gates.data.reshape(m, n)[rows, experts][:, None]
+    # each row's k places in the sorted slab, in ascending expert order
+    slots = np.empty(pairs, dtype=np.intp)
+    slots[order] = np.arange(pairs)
+    slots = np.sort(slots.reshape(m, k), axis=1)
     x_shape, gates_shape, gates_dtype = x.shape, gates.shape, gates.dtype
 
-    out = np.zeros_like(xf)
-    hidden, ys = {}, {}
-    for i in used:
-        lo, hi = bounds[i], bounds[i + 1]
-        hid = _gemm(xf[rows[lo:hi]], w1[i].data)
-        hid += b1[i].data
-        np.maximum(hid, 0, out=hid)
-        y = _gemm(hid, w2[i].data)
-        y += b2[i].data
-        out[rows[lo:hi]] += gate[lo:hi] * y
-        if recording:
-            hidden[i], ys[i] = hid, y
+    out = np.empty_like(xf)
+    # each expert's gathered input rows, then its output rows over them
+    ys = np.empty((pairs, d), dtype=dtype)
+    hidden = h_bufs = spare = None
+    if recording:
+        hidden = {i: np.empty((counts[i], d_exp), dtype=dtype) for i in used}
+    else:  # per group, one expert's hidden rows at a time, in one array the combine reuses
+        spare = np.empty((sum(tallest.values()), d_exp), dtype=dtype)
+        h_bufs = dict(zip(tallest, np.split(spare, np.cumsum(list(tallest.values()))[:-1])))
+
+    def forward(a, b):
+        for i in used[a:b]:
+            lo, hi = bounds[i], bounds[i + 1]
+            hid = _gemm(np.take(xf, rows[lo:hi], axis=0, out=ys[lo:hi], mode="clip"), w1[i].data,
+                        out=hidden[i] if recording else h_bufs[a][:hi - lo])
+            hid += b1[i].data
+            np.maximum(hid, 0, out=hid)
+            y = _gemm(hid, w2[i].data, out=ys[lo:hi])
+            y += b2[i].data
+
+    _split(forward, len(used), cut)
+    reuse = not recording and k > 1 and spare.size >= out.size
+    _gather_sum(out, ys, slots, gate, spare.reshape(-1)[:out.size].reshape(out.shape) if reuse else None)
+    h_bufs = spare = None
+    if not recording:
+        ys = None
 
     def bw(g):
+        nonlocal ys
         g = g.reshape(m, d)
-        gx = np.zeros_like(xf)
         g_gate = np.zeros((m, n), dtype=gates_dtype)
         gw1, gb1, gw2, gb2 = ([None] * n for _ in range(4))
-        for i in reversed(used):
-            lo, hi = bounds[i], bounds[i + 1]
-            # this record runs once: an expert's slabs take its temporaries, then go
-            hid, y = hidden.pop(i), ys.pop(i)
-            gyi = g[rows[lo:hi]]
-            y *= gyi
-            g_gate[rows[lo:hi], i] = y.sum(axis=1)
-            del y
-            gyi *= gate[lo:hi]
-            gb2[i] = gyi.sum(axis=0)
-            gw2[i] = hid.T @ gyi
-            mask = hid > 0
-            gh = _gemm_t(gyi, w2[i].data, out=hid)
-            gh *= mask
-            del hid, mask
-            gb1[i] = gh.sum(axis=0)
-            gw1[i] = xf[rows[lo:hi]].T @ gh
-            gx[rows[lo:hi]] += _gemm_t(gh, w1[i].data, out=gyi)
-            del gh, gyi
+        for i in used[cut:] if cut else ():  # the helper's weight gradients go into arrays made here
+            gw1[i], gw2[i] = np.empty_like(w1[i].data), np.empty_like(w2[i].data)
+        # per group, one expert's output-gradient rows and its ReLU mask at a time
+        bufs = {a: (np.empty((t, d), dtype=dtype), np.empty((t, d_exp), dtype=bool)) for a, t in tallest.items()}
+
+        def backward(a, b):
+            gy_buf, mask_buf = bufs[a]
+            for i in reversed(used[a:b]):
+                lo, hi = bounds[i], bounds[i + 1]
+                hid, y = hidden.pop(i), ys[lo:hi]  # this record runs once: the hidden rows go after this expert
+                gyi = np.take(g, rows[lo:hi], axis=0, out=gy_buf[:hi - lo], mode="clip")
+                y *= gyi
+                g_gate[rows[lo:hi], i] = y.sum(axis=1)
+                gyi *= gate[lo:hi]
+                gb2[i] = gyi.sum(axis=0)
+                gw2[i] = np.matmul(hid.T, gyi, out=gw2[i])
+                mask = np.greater(hid, 0, out=mask_buf[:hi - lo])
+                gh = _gemm_t(gyi, w2[i].data, out=hid)
+                gh *= mask
+                gb1[i] = gh.sum(axis=0)
+                gw1[i] = np.matmul(np.take(xf, rows[lo:hi], axis=0, out=gyi, mode="clip").T, gh, out=gw1[i])
+                _gemm_t(gh, w1[i].data, out=y)  # the input gradient, over the spent output rows
+                del hid, gh
+
+        _split(backward, len(used), cut)
+        slab, ys = ys, None
+        gx = np.empty_like(xf)  # the unsort sums each row's input gradient in descending expert order
+        _gather_sum(gx, slab, slots[:, ::-1])
         return [gx.reshape(x_shape), g_gate.reshape(gates_shape), *gw1, *gb1, *gw2, *gb2]
 
     return _finish("expert-ffn", out.reshape(x_shape), inputs, bw)

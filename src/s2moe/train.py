@@ -114,7 +114,7 @@ class Adam:
     def step(self, t: int) -> None:
         """``p - lr * (m / c1) / (sqrt(v / c2) + eps)`` after the moment
         updates, every product formed in the scratch buffers, rounding as
-        that expression does."""
+        that expression does; parameters and moments are updated in place."""
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
         for (_, p), m, v, (tmp, step) in zip(self.named, self.m, self.v, self._buffers()):
@@ -133,7 +133,7 @@ class Adam:
             np.divide(m.data, c1, out=step)
             step *= self.lr
             step /= tmp
-            p.data = p.data - step
+            p.data -= step
 
     def state(self) -> list[tuple[str, Tensor]]:
         """``adam.m.<name>`` then ``adam.v.<name>`` for each parameter, in order."""

@@ -158,7 +158,7 @@ def assert_bitwise(fused, composed):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("b, t, d, h", [(2, 7, 12, 3), (3, 16, 8, 2), (1, 1, 6, 2), (2, 5, 4, 4)])
+@pytest.mark.parametrize("b, t, d, h", [(2, 7, 12, 3), (3, 16, 8, 2), (1, 1, 6, 2), (2, 5, 4, 4), (1, 40, 8, 2)])
 def test_attention_matches_composition_bitwise(dtype, b, t, d, h):
     rng = np.random.default_rng(b * 100 + t)
     qkv = [rng.standard_normal((b, t, d)).astype(dtype) for _ in range(3)]
@@ -537,6 +537,53 @@ def test_experts_match_composition_on_routed_batches(seed):
         x = rng.standard_normal((2, 7, 6)).astype(dtype)
         decision = route(Tensor(x), make_router(n, 6, "smoe", RngStream(seed), dtype=dtype), k)
         check_experts(decision.indices, n=n, dtype=dtype, seed=seed)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_experts_k2_with_an_idle_and_a_single_row_expert(dtype):
+    # expert 2 is one row's second choice, expert 3 no row's
+    indices = np.array([[[0, 1], [1, 0], [0, 2]], [[4, 1], [1, 4], [0, 4]]])
+    check_experts(indices, n=5, dtype=dtype, seed=4)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_experts_k_equal_to_n_runs_every_expert_on_every_row(dtype):
+    rng = np.random.default_rng(5)
+    indices = np.stack([rng.permutation(4) for _ in range(6)]).reshape(2, 3, 4)
+    check_experts(indices, n=4, dtype=dtype, seed=5)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_experts_every_row_on_one_expert_runs_one_group(dtype):
+    check_experts(np.full((2, 5, 1), 2), n=4, dtype=dtype, seed=6)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_experts_rows_of_negative_zero_terms_come_out_positive_zero(k):
+    """A row whose gates are zero gets only -0.0 terms (zero times a negative
+    output). Summed from zero, as the reference's scatter-add sums, its
+    output row is +0.0, and no input-gradient element is -0.0."""
+    n, d = 3, 4
+    rng = np.random.default_rng(7)
+    bank = ExpertBank(n, d, 5, RngStream(7), dtype=np.float64)
+    for bias in bank.b2:
+        bias.data[:] = -100.0  # every expert's output is negative
+    indices = np.array([[[0, 1], [1, 2], [2, 0], [0, 2]]])[..., :k]
+    gates = gates_for(indices, n, rng, np.float64)
+    gates[0, 1] = 0.0
+    x = Tensor(rng.standard_normal((1, 4, d)), requires_grad=True)
+    with Tape():
+        out = expert_ffn(x, Tensor(gates), indices, bank.w1, bank.b1, bank.w2, bank.b2)
+        backward(tsum(mul(out, Tensor(rng.standard_normal(out.shape)))))
+    assert np.all(out.data[0, 1] == 0) and not np.any(np.signbit(out.data[0, 1]))
+    assert not np.any(np.signbit(x.grad) & (x.grad == 0))
+
+
+def test_experts_refuse_a_row_that_selects_one_expert_twice():
+    bank = ExpertBank(3, 4, 5, RngStream(0), dtype=np.float64)
+    x, gates = Tensor(np.ones((1, 2, 4))), Tensor(np.ones((1, 2, 3)))
+    with pytest.raises(ShapeError, match="twice"):
+        expert_ffn(x, gates, np.array([[[0, 1], [2, 2]]]), bank.w1, bank.b1, bank.w2, bank.b2)
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -28,10 +28,12 @@ runs are 128 positions long, so only this step puts an attention backward
 past 128 positions, and a training step's dropout and noise, against the
 other tree.
 
-Results depend on the BLAS thread count. Both trees inherit this process's
-environment, so ``OPENBLAS_NUM_THREADS=N python tools/parity.py A B`` runs
-both at N threads; the first line names the count and the variable that set
-it.
+Both trees inherit this process's environment, and the first line names the
+BLAS thread count it asks for and the variable that set it. A tree whose
+``s2moe.tensor`` pins BLAS to one thread at import gives the same bits at
+any count; a tree from before the pin runs at the count asked for, so
+compare a pinned tree against a pre-pin parent with
+``OPENBLAS_NUM_THREADS=1 python tools/parity.py PARENT CHANGE``.
 
 One line per variant and precision says equal or different, with the largest
 absolute difference over all checkpoint tensors, and one more line each does
