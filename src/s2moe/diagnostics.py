@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experts import moe_combine
 from .moe import MoeAux, S2MoeLayer
 from .routing import route
-from .stochastic import RngStream, perturb
-from .tensor import Tape, Tensor, backward, concat, gather_rows, mul, tsum
+from .stochastic import RngStream
+from .tensor import Tape, Tensor, backward, mul, tsum
 
 
 @dataclass
@@ -69,66 +68,57 @@ def _boundary_gap(probs_row: np.ndarray, k: int) -> float:
 
 
 def _kink_gap(experts, x_row: np.ndarray, indices: np.ndarray) -> float:
-    gap = float("inf")
-    for i in np.unique(indices):
-        pre = x_row @ experts.w1[int(i)].data + experts.b1[int(i)].data
-        gap = min(gap, float(np.abs(pre).min()))
-    return gap
+    return min(float(np.abs(x_row @ experts.w1[int(i)].data + experts.b1[int(i)].data).min())
+               for i in np.unique(indices))
 
 
 def jacobian_probe(layer, x_token: np.ndarray, k: int,
                    noise_rng: RngStream | None = None, stats=None) -> JacobianReport:
     """Probe the layer Jacobian at one token and decompose out the routing term.
 
-    A stochastic layer needs ``stats`` from a context batch (single-token
-    stats would degenerate to sigma = 0) and ``noise_rng``, whose one noise
-    draw is frozen for the whole probe so the map under test is
-    deterministic. Probe points whose top-k margin is at most
-    ``_BOUNDARY_TOL`` are rejected.
+    Every evaluation of the map runs ``layer.forward`` on the one-token
+    batch, with its routing live or pinned. A stochastic layer needs
+    ``stats`` from a context batch (single-token stats would degenerate to
+    sigma = 0) and ``noise_rng``, whose one noise draw is replayed by every
+    forward so the map under test is deterministic. Probe points whose top-k
+    margin is at most ``_BOUNDARY_TOL`` are rejected.
     """
     v0 = np.asarray(x_token, dtype=np.float64).reshape(-1)
     d = v0.size
-    router, experts = layer.router, layer.experts
+    x0 = Tensor(v0.reshape(1, 1, d))
 
-    stochastic = isinstance(layer, S2MoeLayer)
+    rows, stochastic = x0, isinstance(layer, S2MoeLayer)
     if stochastic:
         for name, value in (("stats", stats), ("noise_rng", noise_rng)):
             if value is None:
                 raise ValueError(f"jacobian_probe: a stochastic layer needs {name}")
         draw = (noise_rng.seed, noise_rng.counter)  # every forward replays this one noise draw
+        rows = layer.stack(x0, noise_rng, stats)  # the probe point's clean row over its noisy one
 
-    def forward(x: Tensor, frozen: list | None) -> Tensor:
-        """Layer output at input x; frozen=[dec, dec_noisy] pins routing. The
-        paths run apart, each routed and combined on its one row."""
-        dec = frozen[0] if frozen else route(x, router, k)
-        y = moe_combine(x, dec, experts)
-        if stochastic:
-            x_hat = gather_rows(perturb(x, stats, RngStream(*draw)), [1])  # the batch's noisy row
-            dec_n = frozen[1] if frozen else route(x_hat, router, k)
-            y = layer.mix(x, concat(y, moe_combine(x_hat, dec_n, experts)))
-        return y
+    def output(x: Tensor, decision=None) -> Tensor:
+        """``layer.forward`` at x, with its routing pinned to ``decision`` when given."""
+        paths = dict(rng=RngStream(*draw), stats=stats) if stochastic else {}
+        return layer.forward(x, k, decision=decision, **paths)[0]
 
-    # the probe point's clean (then noisy) input; their untaped decisions pin the gates
-    x0 = Tensor(v0.reshape(1, 1, d))
-    inputs = [x0, Tensor(perturb(x0, stats, noise_rng).data[1:])] if stochastic else [x0]
-    frozen = [route(x, router, k) for x in inputs]
-    gap = min(_boundary_gap(dec.probs.data[0, 0], k) for dec in frozen)
-    kink = min(_kink_gap(experts, x.data.reshape(-1), dec.indices) for x, dec in zip(inputs, frozen))
+    # one untaped route of the probe point's rows, as the forward stacks them, pins the gates
+    pinned = route(rows, layer.router, k)
+    gap = min(_boundary_gap(p, k) for p in pinned.probs.data[:, 0])
+    kink = min(_kink_gap(layer.experts, r, i) for r, i in zip(rows.data[:, 0], pinned.indices[:, 0]))
     if gap <= _BOUNDARY_TOL:
         raise ValueError(f"probe point sits on a top-k boundary (gap {gap:.3e})")
 
-    def fd_jacobian(frozen_arg):
+    def fd_jacobian(decision):
         jac = np.zeros((d, d))
         for j in range(d):
             vp, vm = x0.data.copy(), x0.data.copy()
             vp[0, 0, j] += _FD_EPS
             vm[0, 0, j] -= _FD_EPS
-            jac[:, j] = (forward(Tensor(vp), frozen_arg).data.reshape(-1)
-                         - forward(Tensor(vm), frozen_arg).data.reshape(-1)) / (2 * _FD_EPS)
+            jac[:, j] = (output(Tensor(vp), decision).data.reshape(-1)
+                         - output(Tensor(vm), decision).data.reshape(-1)) / (2 * _FD_EPS)
         return jac
 
     j_full = fd_jacobian(None)
-    j_fixed = fd_jacobian(frozen)
+    j_fixed = fd_jacobian(pinned)
 
     # autodiff rows of the full map for the FD cross-check
     j_auto = np.zeros((d, d))
@@ -137,7 +127,7 @@ def jacobian_probe(layer, x_token: np.ndarray, k: int,
         onehot[0, 0, i] = 1.0
         with Tape():
             x = Tensor(v0.reshape(1, 1, d), requires_grad=True)
-            backward(tsum(mul(forward(x, None), Tensor(onehot))))
+            backward(tsum(mul(output(x), Tensor(onehot))))
         j_auto[i] = x.grad.reshape(-1)
 
     denom = np.maximum(np.maximum(np.abs(j_auto), np.abs(j_full)), 1e-8)

@@ -53,6 +53,8 @@ class ModelConfig:
             raise ValueError(f"tau_u = {self.tau_u} must be positive")
         if not self.d_low >= 1:
             raise ValueError(f"d_low = {self.d_low} must be at least 1")
+        if not 0 <= self.seed < 2**120:  # seed << 8 keys the streams, and Philox's key has 128 bits
+            raise ValueError(f"seed = {self.seed} must lie in [0, 2**120)")
         if self.variant == "xmoe" and not self.d_low < self.d_model:
             raise ValueError(f"d_low = {self.d_low} must be below d_model = {self.d_model} for xmoe")
         if self.d_model % self.n_heads != 0:

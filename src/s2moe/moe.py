@@ -16,7 +16,7 @@ import numpy as np
 
 from .experts import ExpertBank, moe_combine
 from .routing import RouterDecision, RouterParams, make_router, route
-from .stochastic import RngStream, blend_gate, compute_batch_stats, make_blend_gate, perturb
+from .stochastic import NoiseStats, RngStream, blend_gate, compute_batch_stats, make_blend_gate, perturb
 from .tensor import Tensor, gather_rows, mean, mix, rebase, stack_affine
 
 
@@ -49,9 +49,11 @@ class SmoeLayer:
         named += self.experts.parameters()
         return named
 
-    def forward(self, x: Tensor, k: int, rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
-        """One routed path; it draws nothing, so ``rng`` goes unused."""
-        decision = route(x, self.router, k)
+    def forward(self, x: Tensor, k: int, rng: RngStream | None = None, *,
+                decision: RouterDecision | None = None) -> tuple[Tensor, MoeAux]:
+        """One routed path, by ``decision`` when given (routing pinned) or by
+        a live route; it draws nothing, so ``rng`` goes unused."""
+        decision = route(x, self.router, k) if decision is None else decision
         return moe_combine(x, decision, self.experts), MoeAux(decision=decision, moe_input=x.data)
 
 
@@ -69,20 +71,30 @@ class S2MoeLayer(SmoeLayer):
     def parameters(self) -> list[tuple[str, Tensor]]:
         return super().parameters() + self.blend.parameters()
 
-    def forward(self, x: Tensor, k: int, rng: RngStream | None = None) -> tuple[Tensor, MoeAux]:
+    def stack(self, x: Tensor, rng: RngStream, stats: NoiseStats | None = None) -> Tensor:
+        """The (2B, T, d) batch of both paths: x over its copy noised from ``rng``
+        with ``stats`` (x's own by default), or over x again with the noise off."""
+        if not self.noise_enabled:
+            return stack_affine(x)
+        return perturb(x, compute_batch_stats(x) if stats is None else stats, rng)
+
+    def forward(self, x: Tensor, k: int, rng: RngStream | None = None, *,
+                decision: RouterDecision | None = None,
+                stats: NoiseStats | None = None) -> tuple[Tensor, MoeAux]:
         """With a stream: g(x) * f(x) + (1 - g(x)) * f(x_hat). Without: exactly f(x).
 
-        x and x_hat run as one (2B, T, d) batch: one route and one expert
-        combine serve both paths. Each row is routed and combined as it
-        would be in a batch of its own path only, so the forward equals the
-        per-path one bit for bit; the router's and experts' weight gradients
-        sum both paths' rows in one product."""
+        x and x_hat run as one (2B, T, d) batch (``stack``, with ``stats``):
+        one route, or the pinned ``decision`` of that batch, and one expert
+        combine serve both paths. Each row is routed and combined as it would
+        be in a batch of its own path only, so the forward equals the per-path
+        one bit for bit; the router's and experts' weight gradients sum both
+        paths' rows in one product."""
         if rng is None:
-            return super().forward(x, k)
+            return super().forward(x, k, decision=decision)
         b = x.shape[0]
-        pair = perturb(x, compute_batch_stats(x), rng) if self.noise_enabled else stack_affine(x)
+        pair = self.stack(x, rng, stats)
         x = rebase(x, pair.data[:b])  # the blend keeps the pair's clean rows, not a second copy of them
-        y, aux = super().forward(pair, k)
+        y, aux = super().forward(pair, k, decision=decision)
         both, clean, noisy = aux.decision, np.arange(b), np.arange(b, 2 * b)
         aux.decision = RouterDecision(probs=gather_rows(both.probs, clean), indices=both.indices[:b],
                                       gates=Tensor(both.gates.data[:b]), k_used=k)
@@ -91,9 +103,4 @@ class S2MoeLayer(SmoeLayer):
         pooled = mean(pair, axis=1)
         aux.pooled_clean, aux.pooled_noisy = gather_rows(pooled, clean), gather_rows(pooled, noisy)
         aux.moe_input = None
-        return self.mix(x, y), aux
-
-    def mix(self, x: Tensor, y: Tensor) -> Tensor:
-        """The two-path blend g(x) * y[:B] + (1 - g(x)) * y[B:] of a stacked
-        output y, clean rows on top."""
-        return mix(blend_gate(x, self.blend), y)
+        return mix(blend_gate(x, self.blend), y), aux

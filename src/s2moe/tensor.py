@@ -666,8 +666,9 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
-    """``a`` stacked on ``b`` along the leading axis; each gets its part of
-    the gradient as a view."""
+    """``a`` stacked on ``b`` along the leading axis; each gets its part of the gradient
+    as a view. It has no program caller: it is a piece of the fused-op tests' reference
+    compositions for ``stack_affine`` and ``mix``, as ``reshape`` and ``sub`` are for theirs."""
     if a.shape[1:] != b.shape[1:]:
         raise ShapeError(f"concat: shapes {a.shape} and {b.shape} differ past the leading axis")
     n = a.shape[0]
@@ -713,8 +714,8 @@ def _gemm_t(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.n
 def _product(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> np.ndarray:
     """``a.data @ b.data``, written to ``out`` when given; a (..., K) @ (K, N)
     product as one (rows, K) GEMM."""
-    if b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or the right operand is 1-D")
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or an operand is 1-D")
     if a.data.ndim > 2 and b.data.ndim == 2:
         flat = None if out is None else out.reshape(-1, b.shape[-1])
         return _gemm(a.data.reshape(-1, a.shape[-1]), b.data, out=flat).reshape(*a.shape[:-1], b.shape[-1])
@@ -727,9 +728,6 @@ def _record_product(a: Tensor, b: Tensor, out: np.ndarray) -> Tensor:
     rows = int(np.prod(a.shape[:-1]))
 
     def bw(g):
-        if a_data.ndim == 1:
-            # (n,) @ (n, m) -> (m,)
-            return [g @ b_data.T, np.outer(a_data, g)]
         if not flat:
             ga = g @ np.swapaxes(b_data, -1, -2)
             gb = np.swapaxes(a_data, -1, -2) @ g

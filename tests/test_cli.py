@@ -88,6 +88,7 @@ class TestMalformedConfig:
         ("dropout", -0.1, "must lie in [0, 1)"), ("alpha", -0.1, "must be at least 0"),
         ("beta", -0.5, "must be at least 0"), ("tau_u", 0.0, "must be positive"),
         ("d_low", 0, "must be at least 1"), ("d_low", -2, "must be at least 1"),
+        ("seed", -1, "must lie in [0, 2**120)"), ("seed", 2**120, "must lie in [0, 2**120)"),
     ])
     def test_model_value_out_of_range_is_usage_error(self, key, value, rule, tiny_config_file, capsys):
         path, cfg = tiny_config_file("bad", **{key: value})

@@ -87,6 +87,25 @@ class TestJacobianProbe:
         with pytest.raises(ValueError, match="needs noise_rng"):
             jacobian_probe(layer, v, k=2, stats=stats)
 
+    @pytest.mark.parametrize("noise_enabled", [True, False], ids=["noise", "no-noise"])
+    def test_probe_measures_the_layer_forward(self, noise_enabled):
+        """The probe's Jacobian is the layer's own map: central differences of
+        ``layer.forward`` at the replayed noise draw and the context stats."""
+        d, n = 32, 4
+        layer = S2MoeLayer(d, n, 16, RngStream(22), dtype=F64, noise_enabled=noise_enabled)
+        stats = compute_batch_stats(Tensor(np.random.default_rng(23).standard_normal((4, 16, d))))
+        v = np.random.default_rng(1000).standard_normal(d)
+        rep = jacobian_probe(layer, v, k=n, stats=stats, noise_rng=RngStream(0))
+        eps = 1e-5
+        expect = np.zeros((d, d))
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = eps
+            ends = [layer.forward(Tensor((v + sign * step).reshape(1, 1, d)), n, RngStream(0),
+                                  stats=stats)[0].data.reshape(-1) for sign in (1, -1)]
+            expect[:, j] = (ends[0] - ends[1]) / (2 * eps)
+        assert np.max(np.abs(rep.jacobian - expect)) <= 1e-12
+
     def test_autodiff_matches_fd_for_smoe_and_eval_s2moe(self):
         layer = SmoeLayer(12, 3, 8, RngStream(5), dtype=F64)
         rep = probe_points(layer, k=2, d=12, n_points=1)[0]

@@ -49,6 +49,21 @@ def test_probe_text_is_compared(tmp_path):
     assert parity._compare_run(*map(str, runs)) == (["probe"], 0.0)
 
 
+def test_jacobian_text_differences_are_named_per_key():
+    def reports(err0, err1, values, head="smoe probe 0:"):
+        return (f"{head}\n[jacobian]\nrank = 3\nautodiff_fd_max_rel_err = {err0}\nleading_singular_values = 2.0,1.0\n"
+                "smoe probe 1: refused: probe point sits on a top-k boundary (gap 1.000e-04)\n"
+                f"s2moe probe 0:\n[jacobian]\nrank = 6\nautodiff_fd_max_rel_err = {err1}\n"
+                f"leading_singular_values = {values}\n")
+
+    a = reports(0.5, 0.25, "3.0,1.0")
+    assert parity._jacobian_text_diffs(a, a) == {}
+    assert parity._jacobian_text_diffs(a, reports(0.625, 0.5, "3.0,1.125")) == {
+        "autodiff_fd_max_rel_err": (2, 0.25), "leading_singular_values": (1, 0.125)}
+    assert parity._jacobian_text_diffs(a, reports(0.5, 0.25, "3.0,1.0", head="smoe probe 0: refused: gap")) == {
+        "refused": (1, float("inf"))}
+
+
 def test_step_gradients_are_compared_per_precision(tmp_path):
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
     np.savez(a, **{"f32:w": np.ones(2, np.float32), "f64:w": np.ones(2)})

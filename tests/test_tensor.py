@@ -69,11 +69,12 @@ class TestForwardDefinitions:
             matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
-    @pytest.mark.parametrize("left", [(3,), (2, 3)], ids=["vector", "matrix"])
-    def test_matmul_refuses_1d_right_operand(self, left):
+    @pytest.mark.parametrize("left, right", [((3,), (3,)), ((2, 3), (3,)), ((3,), (3, 2))],
+                             ids=["vector", "matrix", "vector-by-matrix"])
+    def test_matmul_refuses_1d_right_operand(self, left, right):
         with pytest.raises(ShapeError) as err:
-            matmul(t64(np.ones(left)), t64(np.ones(3)))
-        assert str(left) in str(err.value) and "(3,)" in str(err.value)
+            matmul(t64(np.ones(left)), t64(np.ones(right)))
+        assert str(left) in str(err.value) and str(right) in str(err.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_guard(self):
@@ -207,7 +208,7 @@ class TestGradCheck:
     def test_relu_network_away_from_kink(self):
         rng = np.random.default_rng(3)
         w = rng.standard_normal((6, 6))
-        point = rng.standard_normal(6)
+        point = rng.standard_normal((1, 6))  # one row: matmul takes no 1-D left operand
         pre = point @ w
         # keep probes clear of the ReLU kink
         assert np.min(np.abs(pre)) > 1e-3

@@ -14,7 +14,9 @@ or its refusal, with its exit code) matches.
 Each tree's process also probes acceptance criterion 5's two layers (a plain
 and a two-path layer, d=32, N=4, layer seeds 21 and 22, context stats from
 seed 23) at the probe vectors from seeds 1000 on. The Jacobian reports are
-equal when every report's text (or its refusal) and every array match.
+equal when every report's text (or its refusal) and every array match; when
+the text differs, the line names each ``[jacobian]`` key that differs, in how
+many reports, and its largest absolute difference.
 
 Each tree's process also runs one long-sequence eval: the logits of a fresh
 one-layer f64 s2moe model (seed 5) on two fixed sequences of T = 256, past
@@ -48,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -197,6 +200,48 @@ def _max_array_diff(a: str, b: str, prefix: str = "") -> float:
         return worst
 
 
+_REPORT = re.compile(r"^(\S+ probe \d+):(.*)$")
+
+
+def _jacobian_fields(text: str) -> dict[tuple[str, str], str]:
+    """``{(report, key): value}`` of a ``jacobian.txt``; a refusal is its
+    report's ``refused`` value."""
+    fields, report = {}, None
+    for line in text.splitlines():
+        header = _REPORT.match(line)
+        if header:
+            report, rest = header.groups()
+            if rest:
+                fields[(report, "refused")] = rest.strip()
+        elif " = " in line:
+            key, value = line.split(" = ", 1)
+            fields[(report, key)] = value
+    return fields
+
+
+def _value_diff(x: str | None, y: str | None) -> float:
+    """Largest absolute difference of two comma-separated number lists
+    (inf when either is missing, is not numbers, or the lengths differ)."""
+    try:
+        u, v = (np.array([float(part) for part in value.split(",")]) for value in (x, y))
+    except (AttributeError, ValueError):
+        return float("inf")
+    return float(np.max(np.abs(u - v))) if u.shape == v.shape else float("inf")
+
+
+def _jacobian_text_diffs(a: str, b: str) -> dict[str, tuple[int, float]]:
+    """Per ``[jacobian]`` key that differs between two ``jacobian.txt`` texts:
+    the number of reports it differs in and its largest absolute difference."""
+    fa, fb = _jacobian_fields(a), _jacobian_fields(b)
+    diffs: dict[str, tuple[int, float]] = {}
+    for report, key in set(fa) | set(fb):
+        x, y = fa.get((report, key)), fb.get((report, key))
+        if x != y:
+            count, worst = diffs.get(key, (0, 0.0))
+            diffs[key] = (count + 1, max(worst, _value_diff(x, y)))
+    return dict(sorted(diffs.items()))
+
+
 def _compare_run(a: str, b: str) -> tuple[list[str], float]:
     """What differs between two run directories, and the largest tensor difference."""
     differs = []
@@ -255,8 +300,11 @@ def main(argv: list[str] | None = None) -> int:
                 equal += not differs
         a, b = (os.path.join(out, "jacobian") for out in outs)
         diff = _max_array_diff(a + ".npz", b + ".npz")
-        jacobian_equal = _read(a + ".txt") == _read(b + ".txt") and diff == 0
-        print(f"jacobian: {'equal' if jacobian_equal else 'different'}; max |array diff| {diff:.3g}")
+        texts = [_read(path + ".txt") for path in (a, b)]
+        jacobian_equal = texts[0] == texts[1] and diff == 0
+        print(f"jacobian: {'equal' if jacobian_equal else 'different'}; max |array diff| {diff:.3g}"
+              + "".join(f"; {key} differs in {count} reports, max |diff| {worst:.3g}"
+                        for key, (count, worst) in _jacobian_text_diffs(*texts).items()))
         long_diff = _max_array_diff(*(os.path.join(out, "long.npz") for out in outs))
         print(f"long-sequence f64 T={LONG_T}: {'equal' if long_diff == 0 else 'different'}; "
               f"max |logit diff| {long_diff:.3g}")
