@@ -14,7 +14,7 @@ import numpy as np
 
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
-from .stochastic import RngStream
+from .stochastic import RngStream, keep_threshold
 from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, matmuls, transpose
 
 
@@ -46,6 +46,9 @@ class ModelConfig:
                 raise ValueError(f"{key} = {getattr(self, key)} must be at least 1")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout = {self.dropout} must lie in [0, 1)")
+        if keep_threshold(1.0 - self.dropout) < 1:  # its scale 2**16 / t would divide by zero
+            raise ValueError(f"dropout = {self.dropout} must be at most 1 - 2**-17, "
+                             "or its 16-bit keep threshold rounds to 0")
         for key in ("alpha", "beta"):
             if not getattr(self, key) >= 0:
                 raise ValueError(f"{key} = {getattr(self, key)} must be at least 0")
@@ -150,12 +153,14 @@ class DecoderBlock:
 
 
 def _dropout_mask(x: Tensor, p: float, rng: RngStream | None) -> tuple[np.ndarray, np.floating] | None:
-    """An inverted-dropout keep-mask at rate p for x, as a bool array and the
-    dtype's ``1 / keep``; None without a stream."""
+    """An inverted-dropout keep-mask at rate p for x, as a bool array that
+    keeps each position with probability t / 2**16 for t the 16-bit
+    threshold of ``1 - p`` (``RngStream.keep_mask``), and the dtype's
+    ``2**16 / t``; None without a stream."""
     if p <= 0.0 or rng is None:
         return None
-    keep = 1.0 - p
-    return rng.uniform(x.shape) < keep, x.dtype.type(1.0) / x.dtype.type(keep)
+    t = keep_threshold(1.0 - p)
+    return rng.keep_mask(x.shape, t), x.dtype.type(2 ** 16) / x.dtype.type(t)
 
 
 def _dropout(x: Tensor, p: float, rng: RngStream | None) -> Tensor:

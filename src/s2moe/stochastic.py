@@ -2,19 +2,20 @@
 
 Per batch, each feature dimension gets a mean and a population standard
 deviation; the noisy input is ``x_hat = n1 * x + n2`` with ``n1 ~ N(1, sigma^2)``
-and ``n2 ~ N(mu, sigma^2)`` drawn per element, made stacked under x as one
-batch for both paths. The stats and draws carry no
-gradient; only the ``x`` factor does. A one-layer sigmoid gate blends the
-clean-path and noisy-path outputs per token.
+and ``n2 ~ N(mu, sigma^2)`` drawn per element (one Box-Muller pair from one
+draw), made stacked under x as one batch for both paths. The stats and draws
+carry no gradient; only the ``x`` factor does. A one-layer sigmoid gate
+blends the clean-path and noisy-path outputs per token.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, add, in_parallel, matmul, sigmoid, stack_affine
+from .tensor import Tensor, add, matmul, sigmoid, stack_affine
 
 
 @dataclass
@@ -30,7 +31,9 @@ class RngStream:
 
     Identical (seed, counter) always produce identical draws; every draw
     advances the counter by one, and distinct counters map onto disjoint
-    Philox blocks.
+    Philox blocks. Init and batch draws go through numpy's ``Generator``;
+    a training step's noise and dropout are fixed transforms of one draw's
+    raw Philox words, so they cost little more than their bits.
     """
 
     def __init__(self, seed: int, counter: int = 0):
@@ -39,32 +42,66 @@ class RngStream:
         if self.counter < 0:
             raise ValueError("counter must be non-negative")
 
-    def _generator(self) -> np.random.Generator:
+    def _next(self) -> np.random.Philox:
+        """The bit generator of the next draw, which takes one counter."""
         bg = np.random.Philox(key=self.seed)
         bg.advance(self.counter << 64)
-        return np.random.Generator(bg)
-
-    def normal(self, shape, loc=0.0, scale=1.0, out: np.ndarray | None = None) -> np.ndarray:
-        """A float64 draw, written to ``out`` when given."""
-        g = self._generator()
         self.counter += 1
+        return bg
+
+    def _raw(self, words: int) -> np.ndarray:
+        """The next draw as ``words`` raw 64-bit words, little-endian in
+        memory on any host, so a view as narrower lanes reads each word from
+        its lowest bits up."""
+        return self._next().random_raw(words).astype("<u8", copy=False)
+
+    def normal(self, shape, loc=0.0, scale=1.0) -> np.ndarray:
         # standard draws plus affine transform: the per-element-scale path of
-        # Generator.normal is an order of magnitude slower; in place, it
-        # rounds as loc + scale * z does and holds one array of the draw
-        z = g.standard_normal(shape, out=out)
+        # Generator.normal is an order of magnitude slower
+        z = np.random.Generator(self._next()).standard_normal(shape)
         z *= scale
         z += loc
         return z
 
-    def uniform(self, shape) -> np.ndarray:
-        g = self._generator()
-        self.counter += 1
-        return g.random(size=shape)
-
     def integers(self, high: int, size) -> np.ndarray:
-        g = self._generator()
-        self.counter += 1
-        return g.integers(0, high, size=size)
+        return np.random.Generator(self._next()).integers(0, high, size=size)
+
+    def normal_pair(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Two independent float32 standard normal arrays of ``shape`` from
+        one draw, by Box-Muller: its 2n 32-bit lanes give 24-bit uniforms
+        u in (0, 1], the first n u1 and the last n u2, and
+        z1 = sqrt(-2 ln u1) cos(2 pi u2), z2 = sqrt(-2 ln u1) sin(2 pi u2).
+        Their tails end at sqrt(48 ln 2), about 5.77."""
+        n = math.prod(shape)
+        u = (self._raw(n).view("<u4") >> 8).astype(np.float32)
+        u += 1
+        u *= np.float32(2.0 ** -24)
+        r, theta = u[:n], u[n:]
+        np.log(r, out=r)
+        r *= -2
+        np.sqrt(r, out=r)
+        theta *= np.float32(2 * np.pi)
+        z1 = np.cos(theta)
+        z1 *= r
+        z2 = np.sin(theta, out=theta)
+        z2 *= r
+        return z1.reshape(shape), z2.reshape(shape)
+
+    def keep_mask(self, shape, threshold: int) -> np.ndarray:
+        """A bool array of ``shape`` from one draw: its ceil(n / 4) words
+        read as little-endian 16-bit lanes, True where a lane is below
+        ``threshold`` (at most 2**16), so each position with probability
+        threshold / 2**16."""
+        n = math.prod(shape)
+        return (self._raw(-(-n // 4)).view("<u2")[:n] < threshold).reshape(shape)
+
+
+def keep_threshold(keep: float) -> int:
+    """``keep * 2**16`` rounded half up: the 16-bit lanes below it keep
+    their positions (``RngStream.keep_mask``). 0 for a keep rate below 2**-17."""
+    scaled = keep * 65536.0
+    whole = math.floor(scaled)
+    return whole + (scaled - whole >= 0.5)
 
 
 @dataclass
@@ -101,23 +138,17 @@ def perturb(x: Tensor, stats: NoiseStats, rng: RngStream) -> Tensor:
     (2B, ...) array written where the copy is made; gradient flows through
     x only. The lower half rounds as ``add_mul(Tensor(n2), x, n1)`` does.
 
-    n1 and n2 are the stream's next two draws, each from its own counter, so
-    they are drawn at once (``in_parallel``) into arrays made here."""
-    shape = x.shape
-    sigma = np.broadcast_to(stats.sigma, shape)
-    locs = (1.0, np.broadcast_to(stats.mu, shape))
-    draws = [RngStream(rng.seed, rng.counter + i) for i in range(2)]
-    rng.counter += 2
-    z = [np.empty(shape) for _ in range(2)]
-    n = z if x.dtype == np.float64 else [np.empty(shape, x.dtype) for _ in range(2)]
-
-    def draw(i):
-        draws[i].normal(shape, loc=locs[i], scale=sigma, out=z[i])
-        if n[i] is not z[i]:
-            np.copyto(n[i], z[i])  # rounds as astype does
-
-    in_parallel(lambda: draw(0), lambda: draw(1))
-    return stack_affine(x, *n)
+    n1 = 1 + sigma * z1 and n2 = mu + sigma * z2 are formed in x's dtype from
+    the stream's next draw, the float32 normal pair ``(z1, z2)``
+    (``RngStream.normal_pair``), which a float64 x takes exactly upcast."""
+    dtype = x.dtype
+    n1, n2 = (z.astype(dtype, copy=False) for z in rng.normal_pair(x.shape))
+    sigma = stats.sigma.astype(dtype, copy=False)
+    n1 *= sigma
+    n1 += 1
+    n2 *= sigma
+    n2 += stats.mu.astype(dtype, copy=False)
+    return stack_affine(x, n1, n2)
 
 
 def blend_gate(x: Tensor, params: BlendGateParams) -> Tensor:

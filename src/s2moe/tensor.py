@@ -462,11 +462,12 @@ def add_mul(x: Tensor | None, a: Tensor, c: np.ndarray, scale: np.floating | Non
     None there is no add, with ``scale`` None no scaling.
 
     Every dropout runs on it, with ``c`` a bool keep-mask and ``scale`` the
-    dtype's ``1 / keep``: ``(a * mask) * scale`` equals ``a * (mask / keep)``
-    bit for bit, signed zeros and NaN under dropped positions included, and
-    the mask costs one byte an element. With the constant n2 in x's place
-    it is ``x * n1 + n2``, which ``stack_affine``'s lower half rounds as.
-    The record keeps ``c`` only, and only when ``a`` takes a gradient."""
+    dtype's inverse keep rate: ``(a * mask) * scale`` equals
+    ``a * (mask * scale)`` bit for bit, signed zeros and NaN under dropped
+    positions included, and the mask costs one byte an element. With the
+    constant n2 in x's place it is ``x * n1 + n2``, which ``stack_affine``'s
+    lower half rounds as. The record keeps ``c`` only, and only when ``a``
+    takes a gradient."""
     has_x = x is not None
     if a.shape != np.shape(c) or (has_x and x.shape != a.shape):
         raise ShapeError(f"add-mul: x {x.shape if has_x else None}, a {a.shape} and c {np.shape(c)} "

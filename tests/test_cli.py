@@ -85,7 +85,9 @@ class TestMalformedConfig:
         ("n_layers", 0, "must be at least 1"), ("d_model", 0, "must be at least 1"),
         ("n_heads", 0, "must be at least 1"), ("d_exp", 0, "must be at least 1"),
         ("seq_len", 0, "must be at least 1"), ("dropout", 1.0, "must lie in [0, 1)"),
-        ("dropout", -0.1, "must lie in [0, 1)"), ("alpha", -0.1, "must be at least 0"),
+        ("dropout", -0.1, "must lie in [0, 1)"),
+        ("dropout", 0.999999, "must be at most 1 - 2**-17, or its 16-bit keep threshold rounds to 0"),
+        ("alpha", -0.1, "must be at least 0"),
         ("beta", -0.5, "must be at least 0"), ("tau_u", 0.0, "must be positive"),
         ("d_low", 0, "must be at least 1"), ("d_low", -2, "must be at least 1"),
         ("seed", -1, "must lie in [0, 2**120)"), ("seed", 2**120, "must lie in [0, 2**120)"),

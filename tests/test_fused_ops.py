@@ -16,7 +16,7 @@ from conftest import tiny_run_config
 from s2moe.experts import ExpertBank
 from s2moe.model import _dropout, _residual_dropout
 from s2moe.routing import make_router, route
-from s2moe.stochastic import RngStream
+from s2moe.stochastic import RngStream, keep_threshold
 from s2moe.tensor import (
     ShapeError,
     Tape,
@@ -387,12 +387,14 @@ def test_byte_mask_dropout_matches_float_mask_bitwise(dtype, residual):
 
 def test_model_dropout_draws_the_float_mask_it_replaced():
     """The model's dropout helpers, on one stream, give what ``mul`` by the
-    old float mask ``(u < keep).astype(dtype) / keep`` gave."""
+    float mask ``mask.astype(dtype) * 2**16 / t`` gives, for the stream's
+    16-bit keep-mask at threshold t = round(0.9 * 2**16)."""
+    t = keep_threshold(0.9)
+    assert t == 58982
     for dtype in DTYPES:
         rng = np.random.default_rng(17)
         x, a = (Tensor(rng.standard_normal((3, 4, 8)).astype(dtype)) for _ in range(2))
-        u = RngStream(5).uniform(a.shape)
-        float_mask = (u < 0.9).astype(dtype) / 0.9
+        float_mask = RngStream(5).keep_mask(a.shape, t).astype(dtype) * dtype(2 ** 16) / dtype(t)
         dropped = _dropout(a, 0.1, RngStream(5)).data
         added = _residual_dropout(x, a, 0.1, RngStream(5)).data
         assert dropped.tobytes() == (a.data * float_mask).tobytes()

@@ -733,7 +733,7 @@ class TestTraining:
 def _count_draws(monkeypatch) -> list[int]:
     """A one-item list counting every RngStream draw from here on."""
     count = [0]
-    for method in ("normal", "uniform", "integers"):
+    for method in ("normal", "integers", "normal_pair", "keep_mask"):
         real = getattr(RngStream, method)
 
         def counted(self, *args, _real=real, **kwargs):

@@ -1,16 +1,23 @@
 """Noise modeling, blend gate, and two-path layer tests."""
 
+import hashlib
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from s2moe import stochastic
 from s2moe.experts import moe_combine
 from s2moe.losses import balance_loss
+from s2moe.model import _dropout_mask
 from s2moe.moe import S2MoeLayer, SmoeLayer
 from s2moe.routing import route
 from s2moe.stochastic import (
+    NoiseStats,
     RngStream,
     blend_gate,
     compute_batch_stats,
+    keep_threshold,
     make_blend_gate,
     perturb,
 )
@@ -87,9 +94,141 @@ class TestPerturb:
             out = perturb(x, stats, RngStream(11, counter=2))
             backward(tsum(out))
         # d(x + n1 * x + n2)/dx = 1 + n1, recover the draw and compare
-        n1 = RngStream(11, counter=2).normal(x.shape, loc=1.0,
-                                             scale=np.broadcast_to(stats.sigma, x.shape))
-        np.testing.assert_allclose(x.grad, 1.0 + n1, rtol=1e-12)
+        z1, _ = RngStream(11, counter=2).normal_pair(x.shape)
+        n1 = z1.astype(F64) * stats.sigma + 1
+        assert x.grad.tobytes() == (1.0 + n1).tobytes()
+
+
+class TestTrainingDraws:
+    """A training step's noise pair and dropout masks: fixed transforms of one
+    draw's raw Philox words."""
+
+    @pytest.mark.parametrize("p", [0.05, 0.1, 0.5])
+    def test_keep_rate_is_binomial(self, p):
+        n = 1 << 20
+        kept = np.count_nonzero(RngStream(3, counter=7).keep_mask((n,), keep_threshold(1 - p)))
+        assert abs(kept - n * (1 - p)) <= 5 * np.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("p", [0.0001, 0.05, 0.1, 0.3, 0.5, 0.9, 1 - 2 ** -17])
+    def test_scale_inverts_the_keep_rate(self, p):
+        """A position is kept with probability t / 2**16 and scaled by
+        2**16 / t, each dtype's correctly rounded quotient; t rounds
+        ``(1 - p) * 2**16`` half up, so the highest rate keeps one lane."""
+        t = keep_threshold(1 - p)
+        assert abs(t - (1 - p) * 2 ** 16) <= 0.5 and t >= 1
+        for dtype in (np.float32, F64):
+            _, scale = _dropout_mask(Tensor(np.zeros((2, 3), dtype)), p, RngStream(0))
+            exact = Fraction(2 ** 16, t)
+            assert scale.dtype == dtype
+            assert abs(Fraction(float(scale)) - exact) <= Fraction(float(np.spacing(scale))) / 2
+            assert abs(Fraction(float(scale)) * t - 2 ** 16) <= Fraction(float(np.spacing(scale))) * t / 2
+
+    def test_thresholds_round_half_up(self):
+        assert keep_threshold(1.0) == 2 ** 16 and keep_threshold(0.0) == 0
+        assert keep_threshold(2 ** -17) == 1 and keep_threshold(2 ** -17 - 2 ** -40) == 0
+        assert keep_threshold(0.9) == 58982 and keep_threshold(0.5) == 2 ** 15
+
+    def test_same_counter_same_bits_next_counter_new_bits(self):
+        shape = (3, 5, 7)
+        for draw in (lambda s: s.normal_pair(shape), lambda s: (s.keep_mask(shape, 2 ** 15),)):
+            stream = RngStream(42, counter=9)
+            first = draw(stream)
+            assert stream.counter == 10
+            again, after = draw(RngStream(42, counter=9)), draw(stream)
+            for a, b, c in zip(first, again, after):
+                assert a.shape == shape and a.tobytes() == b.tobytes() and a.tobytes() != c.tobytes()
+
+    def test_draws_match_their_pinned_bytes(self):
+        """The pair and a mask at one (seed, counter), pinned byte for byte
+        (recorded with numpy 2.4's X86_V4 float32 log, cos and sin). A host
+        whose kernels round one noise value apart trains another trajectory
+        and fails here instead."""
+        z1, z2 = RngStream(2024, counter=5).normal_pair((37,))
+        assert list(z1[:8].astype("<f4").view("<u4")) == [1066709321, 1058073165, 3201794268, 3181279007,
+                                                          3215870739, 3214759839, 3191364741, 1014163442]
+        assert list(z2[:8].astype("<f4").view("<u4")) == [1062530901, 1057994172, 1069361690, 1053010497,
+                                                          1059796875, 1068055108, 3213565229, 1072673950]
+
+        def digest(*arrays):
+            return hashlib.sha256(b"".join(a.astype(a.dtype.newbyteorder("<")).tobytes()
+                                           for a in arrays)).hexdigest()
+
+        assert digest(z1, z2) == "38e318c30b8c8b863afa7ac9f9dcb9c535d44dee4f86a8f709700ce2d95660d9"
+        assert digest(*RngStream(2024, counter=5).normal_pair((8, 128, 128))) == \
+            "293d9f0c3a0b4591e32735905dc02769f0d98f12dcbc24e2314c13366a93af24"
+        mask = RngStream(2024, counter=6).keep_mask((8, 128, 128), 58982)
+        assert digest(np.packbits(mask)) == "bbc1ef55db122e6c222da77867fc185b50f357c981eab14e3cff045a980663d1"
+
+    def test_lanes_read_each_word_from_its_lowest_bits_up(self):
+        """The 16-bit and 32-bit lanes are the word's bits from the lowest up,
+        as a little-endian host reads them, whatever the host's byte order."""
+        n = 4 * 9 + 3
+        words = np.random.Philox(key=6).random_raw(n).astype(object)  # Python ints: value arithmetic only
+        lanes16 = np.array([(w >> (16 * i)) & 0xFFFF for w in words for i in range(4)], dtype=np.int64)
+        for t in (1, 2 ** 15, 40_000, 2 ** 16):
+            mask = RngStream(6).keep_mask((n,), t)
+            assert np.array_equal(mask, lanes16[:n] < t)
+        lanes32 = np.array([(w >> (32 * i)) & 0xFFFFFFFF for w in words for i in range(2)], dtype=np.float64)
+        u = (np.floor(lanes32 / 256) + 1) / 2 ** 24
+        r, theta = np.sqrt(-2 * np.log(u[:n])), 2 * np.pi * u[n:]
+        z1, z2 = RngStream(6).normal_pair((n,))
+        np.testing.assert_allclose(z1, r * np.cos(theta), rtol=0, atol=1e-5)
+        np.testing.assert_allclose(z2, r * np.sin(theta), rtol=0, atol=1e-5)
+
+    def test_noise_pair_is_two_independent_standard_normals(self):
+        """Per element over 4,000 draws and over one draw of 2**18 elements:
+        means, standard deviations and the pair's correlation within five
+        Monte Carlo standard errors."""
+        draws = 4000
+        stream = RngStream(8)
+        pairs = np.array([np.stack(stream.normal_pair((4, 6)), axis=0) for _ in range(draws)], dtype=F64)
+        z = np.stack([pairs[:, 0].reshape(draws, -1), pairs[:, 1].reshape(draws, -1)])  # (2, draws, 24)
+        bound = 5 / np.sqrt(draws)
+        assert np.all(np.abs(z.mean(axis=1)) <= bound)
+        assert np.all(np.abs(z.std(axis=1) - 1) <= bound / np.sqrt(2))
+        big = 1 << 18
+        z1, z2 = (a.astype(F64) for a in RngStream(9).normal_pair((big,)))
+        bound = 5 / np.sqrt(big)
+        assert abs(z1.mean()) <= bound and abs(z2.mean()) <= bound
+        assert abs(z1.std() - 1) <= bound / np.sqrt(2) and abs(z2.std() - 1) <= bound / np.sqrt(2)
+        assert abs(np.corrcoef(z1, z2)[0, 1]) <= bound
+        assert max(np.abs(z1).max(), np.abs(z2).max()) <= np.sqrt(48 * np.log(2)) * (1 + 1e-6)
+
+    @staticmethod
+    def _noise(monkeypatch, x, stats, counter=4):
+        """(n1, n2) as ``perturb`` hands them to ``stack_affine``."""
+        seen = []
+        monkeypatch.setattr(stochastic, "stack_affine", lambda a, c, s: seen.append((c, s)))
+        perturb(x, stats, RngStream(13, counter=counter))
+        return seen[0]
+
+    def test_noise_is_formed_in_the_layer_dtype_from_one_float32_pair(self, monkeypatch):
+        """n1 = 1 + sigma * z1 and n2 = mu + sigma * z2 in the layer's dtype;
+        a float64 layer takes the float32 pair exactly upcast, so at unit
+        sigma and zero mean both precisions get the same noise values."""
+        rng = np.random.default_rng(6)
+        x64 = rng.standard_normal((2, 3, 4))
+        for dtype in (np.float32, F64):
+            x = Tensor(x64.astype(dtype))
+            stats = compute_batch_stats(x)
+            n1, n2 = self._noise(monkeypatch, x, stats)
+            z1, z2 = (z.astype(dtype) for z in RngStream(13, counter=4).normal_pair(x.shape))
+            assert n1.dtype == n2.dtype == dtype
+            assert n1.tobytes() == (z1 * stats.sigma + 1).tobytes()
+            assert n2.tobytes() == (z2 * stats.sigma + stats.mu).tobytes()
+        unit = {dtype: self._noise(monkeypatch, Tensor(x64.astype(dtype)),
+                                   NoiseStats(mu=np.zeros(4, dtype), sigma=np.ones(4, dtype)))
+                for dtype in (np.float32, F64)}
+        z2 = RngStream(13, counter=4).normal_pair(x64.shape)[1]
+        assert unit[np.float32][1].tobytes() == z2.tobytes()
+        assert unit[F64][1].tobytes() == z2.astype(F64).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_zero_sigma_gives_unit_scale_and_the_mean_shift(self, dtype, monkeypatch):
+        mu = np.array([0.0, -1.5, 2.25, 1e-3], dtype)
+        x = Tensor(np.random.default_rng(7).standard_normal((2, 3, 4)).astype(dtype))
+        n1, n2 = self._noise(monkeypatch, x, NoiseStats(mu=mu, sigma=np.zeros(4, dtype)))
+        assert np.all(n1 == 1) and n2.tobytes() == np.broadcast_to(mu, x.shape).tobytes()
 
 
 class TestBlendGate:
@@ -246,9 +385,8 @@ def per_path_forward(layer, x, k, rng):
     path routed and combined on its own, then blended by the composition of
     small ops; returns the output, both decisions and the pooled pair."""
     stats = compute_batch_stats(x)
-    sigma = np.broadcast_to(stats.sigma, x.shape)
-    n1 = rng.normal(x.shape, loc=1.0, scale=sigma).astype(x.dtype)
-    n2 = rng.normal(x.shape, loc=np.broadcast_to(stats.mu, x.shape), scale=sigma).astype(x.dtype)
+    z1, z2 = (z.astype(x.dtype) for z in rng.normal_pair(x.shape))
+    n1, n2 = z1 * stats.sigma + 1, z2 * stats.sigma + stats.mu
     x_hat = add_mul(Tensor(n2), x, n1)
     dec, dec_n = route(x, layer.router, k), route(x_hat, layer.router, k)
     y_clean, y_noisy = moe_combine(x, dec, layer.experts), moe_combine(x_hat, dec_n, layer.experts)

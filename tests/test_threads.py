@@ -19,7 +19,7 @@ import s2moe
 from s2moe import tensor
 from s2moe.experts import ExpertBank
 from s2moe.model import LanguageModel, ModelConfig
-from s2moe.stochastic import RngStream, compute_batch_stats, perturb
+from s2moe.stochastic import RngStream
 from s2moe.tensor import Tape, Tensor, backward, causal_attention, expert_ffn, in_parallel, mul, tsum
 from s2moe.train import metrics_equal
 
@@ -185,9 +185,9 @@ def test_a_process_that_used_the_helper_exits_at_once():
 
 
 def test_split_ops_give_the_same_bits_one_part_after_the_other(monkeypatch):
-    """The experts, attention, the noise pair and a model step's forward and
-    gradients, with the parts at once and with them run one after the other
-    (as where BLAS cannot be pinned or one CPU is usable)."""
+    """The experts, attention and a model step's forward and gradients, with
+    the parts at once and with them run one after the other (as where BLAS
+    cannot be pinned or one CPU is usable)."""
 
     def everything():
         rng = np.random.default_rng(4)
@@ -195,15 +195,13 @@ def test_split_ops_give_the_same_bits_one_part_after_the_other(monkeypatch):
         with Tape():
             att = causal_attention(q, k, v, 2)
             backward(tsum(mul(att, Tensor(rng.standard_normal(att.shape)))))
-        x = Tensor(rng.standard_normal((4, 8, 6)).astype(np.float32))
-        pair = perturb(x, compute_batch_stats(x), RngStream(9, counter=5))
         cfg = ModelConfig(n_layers=1, d_model=16, n_heads=2, d_exp=32, n_experts=4, seq_len=8,
                           variant="s2moe", precision="f64", seed=2)
         model = LanguageModel(cfg)
         with Tape():
             logits, _ = model.lm_forward(rng.integers(0, cfg.vocab_size, (3, 8)), "train", rng=RngStream(1), k=2)
             backward(tsum(logits))
-        return ([att.data, q.grad, k.grad, v.grad, pair.data, logits.data] + _experts_step(1)
+        return ([att.data, q.grad, k.grad, v.grad, logits.data] + _experts_step(1)
                 + [p.grad for _, p in model.parameters() if p.grad is not None])
 
     parallel = everything()
