@@ -15,7 +15,7 @@ import numpy as np
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
 from .stochastic import RngStream, keep_threshold
-from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, transpose
+from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, matmuls, transpose
 
 
 @dataclass
@@ -89,7 +89,7 @@ class Attention:
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
 
     def forward(self, x: Tensor) -> Tensor:
-        q, k, v = matmul(x, self.wq), matmul(x, self.wk), matmul(x, self.wv)
+        q, k, v = matmuls(x, (self.wq, self.wk, self.wv))
         return matmul(causal_attention(q, k, v, self.n_heads), self.wo)
 
 

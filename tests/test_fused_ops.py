@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import tiny_run_config
+from s2moe import tensor
 from s2moe.experts import ExpertBank
 from s2moe.model import _dropout, _residual_dropout
 from s2moe.routing import make_router, route
@@ -626,6 +627,30 @@ def test_experts_record_one_tape_entry_and_skip_idle_experts():
         backward(tsum(out))
     assert bank.w1[1].grad is None and bank.b2[1].grad is None
     assert bank.w1[0].grad is not None and bank.w1[2].grad is not None
+
+
+@pytest.mark.parametrize("n, d, d_exp", [(8, 128, 256), (16, 64, 64), (4, 6, 5)])
+def test_experts_untaped_combine_reuses_the_hidden_buffer(monkeypatch, n, d, d_exp):
+    """An untaped forward at k = 2 gathers the combine's terms into the array
+    that held the hidden rows, whatever the widths and expert count, so it
+    makes no (rows, d) array for them; its output is the recorded one's."""
+    rng = np.random.default_rng(n)
+    bank = ExpertBank(n, d, d_exp, RngStream(n), dtype=np.float32)
+    x = rng.standard_normal((4, 64, d)).astype(np.float32)
+    indices = np.stack([rng.permutation(n)[:2] for _ in range(4 * 64)]).reshape(4, 64, 2)
+    gates = Tensor(gates_for(indices, n, rng, np.float32))
+    with Tape():
+        recorded = expert_ffn(Tensor(x, requires_grad=True), gates, indices, bank.w1, bank.b1, bank.w2, bank.b2)
+    terms, gather_sum = [], tensor._gather_sum
+
+    def spy(out, slab, slots, scale=None, term=None):
+        terms.append(term)
+        gather_sum(out, slab, slots, scale, term)
+
+    monkeypatch.setattr(tensor, "_gather_sum", spy)
+    out = expert_ffn(Tensor(x), gates, indices, bank.w1, bank.b1, bank.w2, bank.b2)
+    assert len(terms) == 1 and terms[0] is not None and terms[0].shape == (4 * 64, d)
+    assert out.data.tobytes() == recorded.data.tobytes()
 
 
 def test_experts_reject_bad_routing():
