@@ -150,9 +150,9 @@ def _cmd_flops(args) -> int:
         raise _UsageError(f"--k {args.k} out of range [0, {mc.n_experts}]")
     report = flops_per_token(mc, k=args.k, mode=args.mode)
     print(format_flops_report(report))
-    base = flops_per_token(mc, k=2, mode=args.mode)
-    reduction = (base.total - report.total) / base.total
-    print(f"reduction_vs_k2 = {100.0 * reduction:.2f}%")
+    if mc.n_experts >= 2:  # a one-expert config has no k = 2 to compare with
+        base = flops_per_token(mc, k=2, mode=args.mode)
+        print(f"reduction_vs_k2 = {100.0 * (base.total - report.total) / base.total:.2f}%")
     return 0
 
 

@@ -680,61 +680,48 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return _finish("concat", np.concatenate([a.data, b.data]), (a, b), bw)
 
 
+_MIN_PRODUCT = 4096  # output elements; see _gemm
+
+
 def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b``, written to ``out`` when given, keeping a single-row 2-D
-    product on the same BLAS kernel as a multi-row one (numpy sends a 1 x K
-    product to gemv, which rounds differently), so a token's result does not
-    depend on how many rows share its slab."""
-    if a.ndim == 2 and b.ndim == 2 and a.shape[0] == 1:
-        product = (np.concatenate([a, a]) @ b)[:1]
-        if out is None:
-            return product
-        out[...] = product
-        return out
-    return np.matmul(a, b, out=out)
+    """``a @ b``, written to ``out`` when given, each row with the bits of a
+    product of fixed shape, so a row's result does not depend on the rows
+    beside it. OpenBLAS picks its kernel by shape, and kernels round apart.
 
-
-_SMALL_PRODUCT = 4096  # output elements; see _gemm_t
-
-
-def _gemm_t(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ w.T`` for a 2-D slab ``a``, each row rounding as it does in a
-    tall slab. OpenBLAS runs a small product by a transposed operand on a
-    kernel that rounds apart: at power-of-two widths, products of up to
-    about 1,200 elements (a slab of 1-9 rows at 128 output columns). A
-    product of up to ``_SMALL_PRODUCT`` elements runs on a contiguous copy
-    of ``w.T`` through ``_gemm``, whose rows round as the tall product's do
-    at desk widths; a larger one needs no copy. At a reduction over 512, as
-    at paper-base, the contiguous product rounds a 1-7 row slab apart as
-    well (ROADMAP item 3). The product is written to ``out`` when given."""
-    if a.shape[0] * w.shape[0] > _SMALL_PRODUCT:
-        return np.matmul(a, w.T, out=out)
-    return _gemm(a, np.ascontiguousarray(w.T), out=out)
+    A stacked product runs as numpy's stacked matmul: one (T, K) @ (K, N)
+    GEMM per leading index, never flattened, so a sequence's rows do not
+    depend on the batch. A 2-D product of fewer than ``_MIN_PRODUCT`` output
+    elements runs on ``a`` zero-padded to ceil(_MIN_PRODUCT / N) rows: a
+    short slab, a single row (which numpy would send to gemv) or a
+    transposed ``b`` then rounds as a tall slab does. At the model's widths
+    a shape scan on OpenBLAS found 2-D rows rounding apart only below this
+    floor; at some others (K = 96 into 24 columns) they do above it too."""
+    m, n = a.shape[-2], b.shape[-1]
+    if a.ndim > 2 or b.ndim > 2 or m * n >= _MIN_PRODUCT:
+        return np.matmul(a, b, out=out)
+    padded = np.zeros((-(-_MIN_PRODUCT // n), a.shape[1]), dtype=a.dtype)
+    padded[:m] = a
+    product = (padded @ b)[:m]
+    if out is None:
+        return product
+    out[...] = product
+    return out
 
 
 def _product(a: Tensor, b: Tensor, out: np.ndarray | None = None) -> np.ndarray:
-    """``a.data @ b.data``, written to ``out`` when given; a (..., K) @ (K, N)
-    product as one (rows, K) GEMM."""
+    """``a.data @ b.data`` by ``_gemm``, written to ``out`` when given."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}: inner dimensions differ or an operand is 1-D")
-    if a.data.ndim > 2 and b.data.ndim == 2:
-        flat = None if out is None else out.reshape(-1, b.shape[-1])
-        return _gemm(a.data.reshape(-1, a.shape[-1]), b.data, out=flat).reshape(*a.shape[:-1], b.shape[-1])
     return _gemm(a.data, b.data, out=out)
 
 
 def _record_product(a: Tensor, b: Tensor, out: np.ndarray) -> Tensor:
     a_data, b_data = a.data, b.data
-    flat = a_data.ndim > 2 and b_data.ndim == 2
-    rows = int(np.prod(a.shape[:-1]))
 
     def bw(g):
-        if flat:
-            ga = (g.reshape(rows, g.shape[-1]) @ b_data.T).reshape(a_data.shape)
-        else:
-            ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+        ga = _gemm(g, np.swapaxes(b_data, -1, -2))
         gb = np.swapaxes(a_data, -1, -2) @ g
-        return [ga, _unbroadcast(gb, b_data.shape)]
+        return [_unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)]
 
     return _finish("matmul", out, (a, b), bw)
 
@@ -742,11 +729,11 @@ def _record_product(a: Tensor, b: Tensor, out: np.ndarray) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` with numpy's broadcasting rules.
 
-    A (..., K) @ (K, N) product runs as one full-height (rows, K) @ (K, N)
-    GEMM, forward and input gradient. Its weight gradient stays one product
-    per leading index, summed afterwards, so no product reduces over more
-    than one sequence's tokens. No product is split by rows: a split GEMM can
-    round apart from the whole one even on one BLAS thread.
+    The product and the input gradient run through ``_gemm``: a (B, T, K) @
+    (K, N) product is one GEMM per sequence. The weight gradient is one
+    product per leading index, summed afterwards, so no product reduces over
+    more than one sequence's tokens. No product is split by rows: a split
+    GEMM can round apart from the whole one even on one BLAS thread.
     """
     return _record_product(a, b, _product(a, b))
 
@@ -1052,9 +1039,8 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
     makes, buffers of their tallest expert among them, so the helper thread
     allocates little: the caller's group allocates its weight gradients as
     it frees hidden rows, the helper's go into arrays made up front.
-    Products by transposed weights run through ``_gemm_t``, so at
-    power-of-two widths a row's input gradient, like its output, does not
-    depend on how many rows share its expert.
+    Every row product runs through ``_gemm``, so a row's output and input
+    gradient do not depend on how many rows share its expert.
     """
     n, d = len(w1), x.shape[-1]
     xf = x.data.reshape(-1, d)
@@ -1135,11 +1121,11 @@ def expert_ffn(x: Tensor, gates: Tensor, indices: np.ndarray, w1: Sequence[Tenso
                 gb2[i] = gyi.sum(axis=0)
                 gw2[i] = np.matmul(hid.T, gyi, out=gw2[i])
                 mask = np.greater(hid, 0, out=mask_buf[:hi - lo])
-                gh = _gemm_t(gyi, w2[i].data, out=hid)
+                gh = _gemm(gyi, w2[i].data.T, out=hid)
                 gh *= mask
                 gb1[i] = gh.sum(axis=0)
                 gw1[i] = np.matmul(np.take(xf, rows[lo:hi], axis=0, out=gyi, mode="clip").T, gh, out=gw1[i])
-                _gemm_t(gh, w1[i].data, out=y)  # the input gradient, over the spent output rows
+                _gemm(gh, w1[i].data.T, out=y)  # the input gradient, over the spent output rows
                 del hid, gh
 
         _split(backward, len(used), cut)

@@ -66,12 +66,15 @@ class MetricsRow:
 METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(MetricsRow))
 
 
-def parse_metrics(path: str) -> list[MetricsRow]:
+def parse_metrics(path: str, before: int | None = None) -> list[MetricsRow]:
+    """The file's rows; with ``before``, those whose leading step field is below
+    it, the others dropped unparsed, so a row cut short at or past it is no error."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"metrics file '{path}' missing header")
-    return [MetricsRow.from_line(ln) for ln in lines[1:]]
+    rows = lines[1:] if before is None else [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < before]
+    return [MetricsRow.from_line(ln) for ln in rows]
 
 
 def metrics_equal(path_a: str, path_b: str) -> bool:
@@ -311,7 +314,7 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     # a resume keeps the rows written before its step, so each step appears once
     kept = []
     if resume_from is not None and os.path.exists(metrics_path):
-        kept = [r.to_line() for r in parse_metrics(metrics_path) if r.step < start_step]
+        kept = [r.to_line() for r in parse_metrics(metrics_path, before=start_step)]
     # the header and kept rows replace the old file whole, so a kill never leaves it cut short
     with open(metrics_path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in [METRICS_HEADER] + kept))
@@ -394,30 +397,39 @@ class EvalResult:
     collapse: CollapseReport | None
 
 
+def window_nats(model: LanguageModel, tokens: np.ndarray, seq_len: int, windows: range, k: int,
+                split: str) -> list[float]:
+    """The mean nats of each of ``windows``, a range of the split's (input,
+    target) windows, at inference-time k: one eval forward of them as a
+    batch, then one ``task_loss`` per window. A window's logits do not depend
+    on the batch (``tensor._gemm``), so neither does its number."""
+    def work():
+        x, y = make_batch(tokens, seq_len, windows)
+        logits = model.lm_forward(x, "eval", k=k)[0].data
+        return [task_loss(Tensor(row), target)[0].item() for row, target in zip(logits, y)]
+
+    return _checked(work, lambda values: "" if all(map(math.isfinite, values))
+                    else f"non-finite nats at {split} window {windows.start}")
+
+
 def evaluate_model(model: LanguageModel, corpus: Corpus, cfg: RunConfig, k: int,
                    split: str, with_collapse: bool = True) -> EvalResult:
-    """Teacher-forced evaluation over a split at inference-time k."""
+    """Teacher-forced evaluation over a split at inference-time k: the mean
+    of each window's mean nats, summed exactly (``math.fsum``), so the result
+    does not depend on ``batch_size``."""
     tokens = corpus.split(split)
     pairs = pair_count(tokens, cfg.seq_len)
     if pairs == 0:
         raise ValueError(f"split '{split}' shorter than one sequence")
-    total_nats = 0.0
-    count = 0
-    for start in range(0, pairs, cfg.batch_size):
-        idx = range(start, min(start + cfg.batch_size, pairs))
-        x, y = make_batch(tokens, cfg.seq_len, idx)
-        nats = _checked(lambda: task_loss(model.lm_forward(x, "eval", k=k)[0], y)[0].item(),
-                        lambda value: "" if math.isfinite(value) else f"non-finite nats at {split} window {start}")
-        total_nats += nats * x.size
-        count += x.size
-    mean_nats = total_nats / count
+    mean_nats = math.fsum(nats for start in range(0, pairs, cfg.batch_size) for nats in window_nats(
+        model, tokens, cfg.seq_len, range(start, min(start + cfg.batch_size, pairs)), k, split)) / pairs
 
     collapse = None
     if with_collapse:
         batch = collapse_batch(tokens, cfg.seq_len, split)
         collapse = _checked(lambda: collapse_metrics(model, batch, k), _collapse_faults)
     return EvalResult(bpc=mean_nats / math.log(2), ppl=perplexity(mean_nats),
-                      nats=mean_nats, n_tokens=count, k=k, collapse=collapse)
+                      nats=mean_nats, n_tokens=pairs * cfg.seq_len, k=k, collapse=collapse)
 
 
 def _collapse_faults(report: CollapseReport) -> str:

@@ -1,7 +1,7 @@
 """``tools/abstep.py`` on one tree against itself, at a tiny size: training
 steps and eval batches at k = 1 and k = 2 are timed in turn and summarised,
-a timed step is the training loop's step, and a path without source is
-refused."""
+eval with each tree's k = 1 over k = 2 batch time; a timed step is the
+training loop's step, and a path without source is refused."""
 
 import dataclasses
 import importlib.util
@@ -21,6 +21,7 @@ abstep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(abstep)
 
 TREE = re.compile(r"^(parent|change) +(\S+): median [\d.]+ ms, quartiles [\d.]+-[\d.]+ ms$")
+RATIO = re.compile(r"^(parent|change) +(\S+): k=1/k=2 median batch time [\d.]+$")
 VERDICT = re.compile(r"^change/parent median [\d.]+; change faster in \d+% of (\d+) (steps|batches)$")
 
 
@@ -43,10 +44,11 @@ def test_eval_batches_at_both_k(small_corpus, tmp_path, capsys):
     final = train(tiny_run_config(small_corpus, tmp_path / "run", steps=1, variant="s2moe")).final_checkpoint
     assert abstep.main([str(ROOT), str(ROOT), "--eval", final, "--steps", "2", "--warmup", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
-    for k, block in zip((1, 2), (lines[:4], lines[4:])):
+    assert len(lines) == 10
+    for k, block in zip((1, 2), (lines[:4], lines[4:8])):
         assert block[0] == f"abstep: eval of {final} at k={k}, 2 batches after 0 warm-up, order flipped every batch"
         _check_summary(block[1:], 2, "batches")
+    assert [RATIO.match(line).groups() for line in lines[8:]] == [("parent", str(ROOT)), ("change", str(ROOT))]
 
 
 @pytest.mark.parametrize("variant", ["smoe", "s2moe", "smoe-dropout", "xmoe", "stablemoe"])

@@ -41,6 +41,13 @@ class TestFlops:
         out = capsys.readouterr().out
         assert "reduction_vs_k2 = 0.00%" in out
 
+    def test_one_expert_config_prints_no_k2_reduction(self, tmp_path, capsys):
+        path = tmp_path / "one.cfg"
+        path.write_text("preset = 'desk'\nn_experts = 1\nk_train = 1\nk_eval = 1\n")
+        assert cli(["flops", "--config", str(path), "--k", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "per_token.total" in out and "reduction_vs_k2" not in out
+
     def test_out_of_range_k_is_usage_error(self, capsys):
         assert cli(["flops", "--preset", "paper-base", "--k", "99"]) == 1
 

@@ -23,8 +23,6 @@ from s2moe.tensor import (
     Tape,
     Tensor,
     _finish,
-    _gemm,
-    _gemm_t,
     add,
     add_mul,
     affine_layer_norm,
@@ -37,7 +35,6 @@ from s2moe.tensor import (
     mix,
     mul,
     nan_guard,
-    relu,
     reshape,
     sigmoid,
     softmax,
@@ -96,24 +93,6 @@ def combine_rows(segments, size):
                    lambda g: [g[idx] for idx in idxs])
 
 
-def row_product(a, w):
-    """``a @ w`` on a (M, K) slab whose input gradient is ``_gemm_t``'s, as
-    ``expert_ffn`` forms it (so a row's gradient does not depend on the
-    slab's height); its weight gradient is ``matmul``'s."""
-    a_data, w_data = a.data, w.data
-
-    def bw(g):
-        return [_gemm_t(g, w_data), a_data.T @ g]
-
-    return _finish("matmul", _gemm(a_data, w_data), (a, w), bw)
-
-
-def apply_expert(bank, x, i):
-    """``ExpertBank.apply`` with its two products as ``row_product``s."""
-    h = relu(add(row_product(x, bank.w1[i]), bank.b1[i]))
-    return add(row_product(h, bank.w2[i]), bank.b2[i])
-
-
 def composed_experts(x, gates, indices, bank):
     """Per expert: gather its tokens, run it, scale by the gate; then combine."""
     b, t, d = x.shape
@@ -125,7 +104,7 @@ def composed_experts(x, gates, indices, bank):
     for i in range(n):
         rows = np.nonzero((idx_flat == i).any(axis=1))[0]
         if rows.size:
-            out_i = apply_expert(bank, gather_rows(x_flat, rows), i)
+            out_i = bank.apply(gather_rows(x_flat, rows), i)
             segments.append((rows, mul(gather_rows(gate_rows, rows * n + i), out_i)))
     return reshape(combine_rows(segments, m), (b, t, d))
 
@@ -590,31 +569,34 @@ def test_experts_refuse_a_row_that_selects_one_expert_twice():
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("d, d_exp, m", [(128, 256, 64), (32, 16, 320)], ids=["desk", "narrow"])
+@pytest.mark.parametrize("d, d_exp, m", [(128, 256, 64), (32, 16, 320), (256, 512, 64)],
+                         ids=["desk", "narrow", "paper-base"])
 def test_expert_input_gradient_rows_do_not_depend_on_slab_height(dtype, d, d_exp, m):
-    """The rows of a 1- to 12-row expert slab get the same input gradient as
-    the same rows inside a tall slab, so a clean row's gradient does not
-    depend on how many noisy rows share its expert. At desk widths a
-    transposed-view product rounds a slab of up to 9 rows apart, and at the
-    narrow ones up to 75."""
+    """The rows of a 1- to 12-row expert slab get the same output and input
+    gradient as the same rows inside a tall slab, so a clean row's result
+    does not depend on how many noisy rows share its expert. Unpadded, a
+    transposed-view product rounds a slab of up to 9 rows apart at desk
+    widths and up to 75 at the narrow ones, and at paper-base ``hid @ w2``
+    rounds a slab of up to 7 rows apart."""
     rng = np.random.default_rng(17)
     bank = ExpertBank(2, d, d_exp, RngStream(17), dtype=dtype)
     x = rng.standard_normal((1, m, d)).astype(dtype)
     gates = rng.uniform(0.1, 1.0, (1, m, 2)).astype(dtype)
     c = rng.standard_normal((1, m, d)).astype(dtype)
 
-    def input_gradient(indices):
+    def output_and_input_gradient(indices):
         xt = Tensor(x.copy(), requires_grad=True)
         with Tape():
             out = expert_ffn(xt, Tensor(gates), indices, bank.w1, bank.b1, bank.w2, bank.b2)
             backward(tsum(mul(out, Tensor(c))))
-        return xt.grad[0]
+        return out.data[0], xt.grad[0]
 
-    tall = input_gradient(np.zeros((1, m, 1), dtype=np.int64))
+    tall = output_and_input_gradient(np.zeros((1, m, 1), dtype=np.int64))
     for rows in range(1, 13):
         indices = np.ones((1, m, 1), dtype=np.int64)
         indices[0, :rows] = 0
-        assert np.array_equal(input_gradient(indices)[:rows], tall[:rows]), rows
+        for got, want in zip(output_and_input_gradient(indices), tall):
+            assert np.array_equal(got[:rows], want[:rows]), rows
 
 
 def test_experts_record_one_tape_entry_and_skip_idle_experts():

@@ -580,6 +580,25 @@ class TestTraining:
         assert lines == written[:3]
         assert not os.path.exists(os.path.join(cfg.out_dir, "metrics.csv.tmp"))
 
+    def test_resume_past_a_cut_metrics_row(self, small_corpus, tmp_path):
+        """A row cut short at or past the resume step is dropped with the rows
+        after it; a cut row below the resume step is still refused."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", precision="f64", seed=3)
+        metrics = train(cfg).metrics_path
+        uninterrupted = str(tmp_path / "uninterrupted.csv")
+        text = open(metrics).read()
+        with open(uninterrupted, "w") as fh:
+            fh.write(text)
+        ckpt = os.path.join(cfg.out_dir, "ckpt-0000003.bin")
+        with open(metrics, "w") as fh:
+            fh.write(text[:text.index("\n4,") + 7])  # step 4's row, cut inside its second field
+        assert metrics_equal(uninterrupted, train(cfg, resume_from=ckpt).metrics_path)
+
+        with open(metrics, "w") as fh:
+            fh.write(text[:text.index("\n2,") + 7])  # step 2's row cut, below the resume step
+        with pytest.raises(ValueError, match="metrics row has 2 fields"):
+            train(cfg, resume_from=ckpt)
+
     def test_load_run_reads_back_a_corpus_path_with_hash(self, small_corpus, tmp_path):
         corpus = tmp_path / "run#1" / "corpus.txt"
         corpus.parent.mkdir()

@@ -13,8 +13,9 @@ backward, the clip and Adam. Separate processes on a shared box see different
 machine noise; steps interleaved this closely see the same.
 
 With ``--eval CKPT`` each tree rebuilds the run from the checkpoint instead
-and the trees take turns on eval batches (one forward and its loss, over the
-val split's windows in order), at k = 1 and then at k = 2.
+and the trees take turns on eval batches (``train.window_nats`` over the val
+split's windows in order), at k = 1 and then at k = 2; then each tree's median
+k = 1 batch time over its median k = 2 batch time.
 
 The first ``--warmup`` steps of each tree are not counted: they pay the
 heap's growth. Per tree, the median and quartiles of the counted steps, then
@@ -84,15 +85,13 @@ class Tree:
         self.pairs = self.train.pair_count(self.val, self.cfg.seq_len)
 
     def eval_batch(self, i: int, k: int) -> float:
-        """The forward and loss of the val split's ``i``-th batch of windows
-        (cycling) at k, as ``evaluate_model`` takes it; its seconds."""
-        tr, cfg = self.train, self.cfg
-        batches = math.ceil(self.pairs / cfg.batch_size)
-        first = (i % batches) * cfg.batch_size
+        """The val split's ``i``-th batch of windows (cycling) at k, scored by
+        ``window_nats`` as ``evaluate_model`` scores it; its seconds."""
+        cfg = self.cfg
+        first = (i % math.ceil(self.pairs / cfg.batch_size)) * cfg.batch_size
         start = time.perf_counter()
-        x, y = tr.make_batch(self.val, cfg.seq_len, range(first, min(first + cfg.batch_size, self.pairs)))
-        tr._checked(lambda: tr.task_loss(self.model.lm_forward(x, "eval", k=k)[0], y)[0].item(),
-                    lambda value: "" if math.isfinite(value) else "non-finite nats")
+        self.train.window_nats(self.model, self.val, cfg.seq_len, range(first, min(first + cfg.batch_size, self.pairs)),
+                               k, "val")
         return time.perf_counter() - start
 
 
@@ -147,11 +146,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.eval:
                 for tree in trees:
                     tree.setup_eval(args.eval)
+                medians = {}
                 for k in (1, 2):
                     interleave(trees, lambda tree, i: tree.eval_batch(i, k), args.steps, args.warmup)
                     print(f"abstep: eval of {args.eval} at k={k}, {args.steps} batches after "
                           f"{args.warmup} warm-up, order flipped every batch")
                     print("\n".join(summary(trees, "batches")))
+                    medians[k] = [np.median(tree.times) for tree in trees]
+                for tree, k1, k2 in zip(trees, *medians.values()):
+                    print(f"{tree.label:<6} {tree.tree}: k=1/k=2 median batch time {k1 / k2:.3f}")
             else:
                 corpus = trees[0].pkg.make_synthetic_corpus(os.path.join(work, "corpus.txt"),
                                                          n_bytes=CORPUS_BYTES, seed=CORPUS_SEED)
