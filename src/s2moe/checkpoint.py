@@ -13,11 +13,11 @@ Layout:
                 raw little-endian data
 
 Saving the result of a load reproduces the file byte for byte (less an
-older file's rng states), and a save replaces the file at its path atomically.
-Neither side holds the file in memory: a save writes each header and then the
-tensor's own buffer, and a load reads each payload once into a new array and
-seeks past the tensors its caller did not ask for. Tensor names are unique
-within a file.
+older file's rng states), and a save replaces the file at its path atomically
+(``replacing``, the one rule for every file a run replaces). Neither side
+holds the file in memory: a save writes each header and then the tensor's own
+buffer, and a load reads each payload once into a new array and seeks past
+the tensors its caller did not ask for. Tensor names are unique within a file.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,22 @@ class Checkpoint:
     tensors: list[tuple[str, np.ndarray]]           # file order preserved
 
 
+@contextmanager
+def replacing(path: str) -> Iterator[str]:
+    """``path.tmp`` for the block to write, renamed over ``path`` when the block
+    ends cleanly and removed when it or the rename fails; a stale one (a killed
+    run's, perhaps a hard link to another file) is removed first."""
+    tmp = f"{path}.tmp"
+    if os.path.lexists(tmp):
+        os.remove(tmp)
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+
+
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` to ``path``, streaming each tensor's own buffer after its header."""
     names = set()
@@ -52,26 +69,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             raise ValueError(f"checkpoint '{path}' names tensor '{name}' twice")
         names.add(name)
     config_bytes = ckpt.config_text.encode("utf-8")
-    # write beside the target and rename over it: a failed write leaves the
-    # previous file at ``path`` untouched
-    tmp = f"{path}.tmp"
-    try:
-        if os.path.lexists(tmp):  # a killed run's leftover may be a hard link to another checkpoint
-            os.remove(tmp)
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
-                     + struct.pack("<QII", ckpt.step, 0, len(ckpt.tensors)))  # no rng states
-            for name, arr in ckpt.tensors:
-                nb = name.encode("utf-8")
-                code = _CODE_FOR[np.dtype(arr.dtype)]
-                fh.write(struct.pack("<H", len(nb)) + nb
-                         + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
-                # a 0-d array comes back 1-d here; the header above keeps its own shape
-                fh.write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])).cast("B"))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    with replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_bytes)) + config_bytes
+                 + struct.pack("<QII", ckpt.step, 0, len(ckpt.tensors)))  # no rng states
+        for name, arr in ckpt.tensors:
+            nb = name.encode("utf-8")
+            code = _CODE_FOR[np.dtype(arr.dtype)]
+            fh.write(struct.pack("<H", len(nb)) + nb
+                     + struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape))
+            # a 0-d array comes back 1-d here; the header above keeps its own shape
+            fh.write(memoryview(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code])).cast("B"))
 
 
 def load_checkpoint(path: str, names: Collection[str] | None = None) -> Checkpoint:

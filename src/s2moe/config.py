@@ -44,6 +44,14 @@ class RunConfig(ModelConfig):
         for key, low in (("batch_size", 1), ("eval_interval", 1), ("ckpt_interval", 1), ("steps", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} = {getattr(self, key)} must be at least {low}")
+        # the optimizer's: a negative clip or step reverses training, a zero one stops it
+        # (comparisons written so that a NaN is refused too)
+        for key in ("lr", "grad_clip", "eps_adam"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} = {getattr(self, key)} must be positive")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} = {getattr(self, key)} must lie in [0, 1)")
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(ModelConfig)}
         if self.stage_boundary < 0:
             fields["stage_boundary"] = self.steps // 2

@@ -19,8 +19,7 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -175,21 +174,12 @@ class GraphError(TensorError):
 _nan_guard = True
 
 
-def set_nan_guard(enabled: bool) -> None:
-    """Enable or disable the finite-output check after every primitive."""
-    global _nan_guard
-    _nan_guard = bool(enabled)
-
-
-@contextmanager
-def nan_guard(enabled: bool) -> Iterator[None]:
-    """Set the finite-output check for the block; the previous setting returns on exit."""
+def set_nan_guard(enabled: bool) -> bool:
+    """Enable or disable the finite-output check after every primitive; the
+    setting it replaced, for a caller that restores it."""
     global _nan_guard
     saved, _nan_guard = _nan_guard, bool(enabled)
-    try:
-        yield
-    finally:
-        _nan_guard = saved
+    return saved
 
 
 class _Record:

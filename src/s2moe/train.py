@@ -11,12 +11,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import Checkpoint, apply_tensors, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, apply_tensors, load_checkpoint, replacing, save_checkpoint
 from .config import RunConfig, parse_config_text
 from .data import Corpus, ingest_corpus, make_batch, pair_count
 from .diagnostics import CollapseReport, collapse_metrics, gini, routing_stats
@@ -24,7 +25,7 @@ from .losses import PooledPair, balance_loss, perplexity, task_loss, total_loss,
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
 from .stochastic import RngStream
-from .tensor import NonFiniteError, Tape, Tensor, backward, nan_guard
+from .tensor import NonFiniteError, Tape, Tensor, backward, set_nan_guard
 
 # stream ids under (seed << 8)
 _STREAM_BATCH = 3
@@ -66,14 +67,36 @@ class MetricsRow:
 METRICS_HEADER = ",".join(f.name for f in dataclasses.fields(MetricsRow))
 
 
+def _least_step(digits: str, above: int) -> int:
+    """The least step above ``above`` whose decimal form starts with ``digits``,
+    the leading digits of a row cut inside its step field; ``int(digits)``
+    when no step can start with them."""
+    low = int(digits)
+    if not re.fullmatch(r"[1-9][0-9]*", digits):  # only step 0 is written with a leading 0
+        return low
+    high = low + 1
+    while high <= above + 1:  # no step in [low, high) is above ``above``: take one more digit
+        low, high = low * 10, high * 10
+    return max(low, above + 1)
+
+
 def parse_metrics(path: str, before: int | None = None) -> list[MetricsRow]:
     """The file's rows; with ``before``, those whose leading step field is below
-    it, the others dropped unparsed, so a row cut short at or past it is no error."""
+    it, the others dropped unparsed, so a row cut short at or past it is no error.
+
+    A last line with no comma was cut inside its step field: it is dropped
+    when every step it could be (above the row before it, starting with its
+    digits) is at or past ``before``, and refused otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0] != METRICS_HEADER:
         raise ValueError(f"metrics file '{path}' missing header")
-    rows = lines[1:] if before is None else [ln for ln in lines[1:] if int(ln.split(",", 1)[0]) < before]
+    rows = lines[1:]
+    if before is not None:
+        steps = [int(ln.split(",", 1)[0]) for ln in rows]
+        if rows and "," not in rows[-1]:
+            steps[-1] = _least_step(rows[-1].strip(), steps[-2] if len(rows) > 1 else -1)
+        rows = [ln for ln, step in zip(rows, steps) if step < before]
     return [MetricsRow.from_line(ln) for ln in rows]
 
 
@@ -174,14 +197,18 @@ def _checked(work, faults):
     on a fault it replays exactly with the guard on, and the first op to
     produce a non-finite value raises ``NonFiniteError`` with its name and
     tape position. When every op of the replay is finite, the error names
-    what ``faults`` finds in the replayed result (a gradient, say).
+    what ``faults`` finds in the replayed result (a gradient, say). The
+    caller's guard setting returns either way.
     """
-    with nan_guard(False):
+    saved = set_nan_guard(False)
+    try:
         result = work()
-    if not faults(result):
-        return result
-    with nan_guard(True):
+        if not faults(result):
+            return result
+        set_nan_guard(True)
         result = work()
+    finally:
+        set_nan_guard(saved)
     raise NonFiniteError(faults(result) or "non-finite result; its replay under the NaN guard was finite")
 
 
@@ -228,6 +255,20 @@ def _step_faults(model: LanguageModel, result) -> str:
         return ""
     grads = [name for name, p in model.parameters() if p.grad is not None and not np.isfinite(p.grad).all()]
     return f"non-finite gradient in {', '.join(grads)}" if grads else f"gradient norm {norm}"
+
+
+def _train_step(model: LanguageModel, adam: Adam, cfg: RunConfig, tokens: np.ndarray, pairs: int, step: int):
+    """One step as ``train`` takes it: the StableMoE policy, k, the batch, the checked forward,
+    backward and clip (``NonFiniteError`` before Adam), and Adam; k, the auxes and losses."""
+    for blk in model.blocks:
+        stablemoe_update(blk.moe.router, step)
+    k = dropout_schedule_k(step, cfg.steps, cfg.n_experts) if cfg.variant == "smoe-dropout" else cfg.k_train
+    idx = RngStream((cfg.seed << 8) + _STREAM_BATCH, counter=step).integers(pairs, cfg.batch_size)
+    x, y = make_batch(tokens, cfg.seq_len, idx)
+    auxes, nats, bal, unc, total, _ = _checked(lambda: _step(model, cfg, x, y, k, step),
+                                               lambda result: _step_faults(model, result))
+    adam.step(step + 1)
+    return k, auxes, nats, bal, unc, total
 
 
 def _save_state(path: str, cfg: RunConfig, model: LanguageModel, adam: Adam, step: int) -> None:
@@ -316,40 +357,25 @@ def train(cfg: RunConfig, resume_from: str | None = None,
     if resume_from is not None and os.path.exists(metrics_path):
         kept = [r.to_line() for r in parse_metrics(metrics_path, before=start_step)]
     # the header and kept rows replace the old file whole, so a kill never leaves it cut short
-    with open(metrics_path + ".tmp", "w", encoding="utf-8") as fh:
+    with replacing(metrics_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in [METRICS_HEADER] + kept))
-    os.replace(metrics_path + ".tmp", metrics_path)
     metrics_file = open(metrics_path, "a", encoding="utf-8")
 
     rows: list[MetricsRow] = []
-    base = cfg.seed << 8
-    n_experts = cfg.n_experts
     t0 = time.monotonic()
     last_ckpt = resume_from or ""
 
     try:
         for step in range(start_step, cfg.steps):
-            for blk in model.blocks:
-                stablemoe_update(blk.moe.router, step)
-            if cfg.variant == "smoe-dropout":
-                k = dropout_schedule_k(step, cfg.steps, n_experts)
-            else:
-                k = cfg.k_train
-
-            idx = RngStream(base + _STREAM_BATCH, counter=step).integers(pairs, cfg.batch_size)
-            x, y = make_batch(corpus.train, cfg.seq_len, idx)
-
             # a step with a non-finite loss or gradient stops here, before Adam and any checkpoint
             try:
-                auxes, nats, bal, unc, total, _ = _checked(lambda: _step(model, cfg, x, y, k, step),
-                                                           lambda result: _step_faults(model, result))
+                k, auxes, nats, bal, unc, total = _train_step(model, adam, cfg, corpus.train, pairs, step)
             except NonFiniteError as err:
                 raise TrainAbort(f"non-finite value at step {step} ({err}); "
                                  f"last checkpoint: {last_ckpt or 'none'}") from err
-            adam.step(step + 1)
 
             if step % cfg.eval_interval == 0 or step == cfg.steps - 1:
-                entropy, load = routing_stats(auxes, n_experts)
+                entropy, load = routing_stats(auxes, cfg.n_experts)
                 nats_value = nats.item()
                 row = MetricsRow(
                     step=step, task_nats=nats_value, bpc=nats_value / math.log(2),
@@ -374,10 +400,8 @@ def train(cfg: RunConfig, resume_from: str | None = None,
 
     final = os.path.join(cfg.out_dir, "ckpt-final.bin")
     if start_step < cfg.steps:  # the last step saved this state as ckpt-<steps>.bin: link it
-        if os.path.lexists(final + ".tmp"):  # left by a killed run
-            os.remove(final + ".tmp")
-        os.link(last_ckpt, final + ".tmp")
-        os.replace(final + ".tmp", final)
+        with replacing(final) as tmp:
+            os.link(last_ckpt, tmp)
     else:
         _save_state(final, cfg, model, adam, cfg.steps)
     return TrainResult(final_checkpoint=final, metrics_path=metrics_path, rows=rows, corpus=corpus)

@@ -1,12 +1,14 @@
 """``tools/abstep.py`` on one tree against itself, at a tiny size: training
 steps and eval batches at k = 1 and k = 2 are timed in turn and summarised,
 eval with each tree's k = 1 over k = 2 batch time; a timed step is the
-training loop's step, and a path without source is refused."""
+training loop's step, and a path without source, or a tree without the
+timed step, is refused."""
 
 import dataclasses
 import importlib.util
 import pathlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -54,8 +56,8 @@ def test_eval_batches_at_both_k(small_corpus, tmp_path, capsys):
 @pytest.mark.parametrize("variant", ["smoe", "s2moe", "smoe-dropout", "xmoe", "stablemoe"])
 def test_a_timed_step_is_a_training_loop_step(variant, small_corpus, tmp_path, monkeypatch):
     """n of abstep's steps leave the parameter and Adam-moment bytes that
-    ``train`` leaves after n steps, so the tool times the loop's own work
-    (the StableMoE update, the k schedule and the batch draw included)."""
+    ``train`` leaves after n steps: the tool times ``train._train_step`` on
+    the model, optimizer and batch source that ``train`` builds."""
     steps = 4
     monkeypatch.setattr(abstep, "MODEL", dataclasses.asdict(tiny_run_config(small_corpus, tmp_path, steps=steps)))
     monkeypatch.syspath_prepend(str(tmp_path))
@@ -77,3 +79,16 @@ def test_a_timed_step_is_a_training_loop_step(variant, small_corpus, tmp_path, m
 def test_refuses_a_path_without_source(tmp_path, capsys):
     assert abstep.main([str(ROOT), str(tmp_path)]) == 2
     assert "holds no src/s2moe" in capsys.readouterr().err
+
+
+def test_refuses_a_tree_without_the_timed_step(tmp_path, capsys):
+    """A tree whose ``train`` has no ``_train_step`` (every tree before it)
+    is refused by name before any step is timed."""
+    source = tmp_path / "older" / "src" / "s2moe"
+    shutil.copytree(ROOT / "src" / "s2moe", source, ignore=shutil.ignore_patterns("__pycache__"))
+    train_py = source / "train.py"
+    train_py.write_text(train_py.read_text().replace("def _train_step(", "def _renamed_step("))
+    assert abstep.main([str(ROOT), str(tmp_path / "older"), "--steps", "1", "--warmup", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {tmp_path / 'older'} has no train._train_step, the function abstep times\n"

@@ -89,6 +89,25 @@ class TestMalformedConfig:
         assert not os.path.exists(cfg.out_dir)
 
     @pytest.mark.parametrize("key, value, rule", [
+        ("lr", -0.001, "must be positive"), ("lr", 0.0, "must be positive"), ("lr", math.nan, "must be positive"),
+        ("grad_clip", -0.25, "must be positive"), ("grad_clip", 0.0, "must be positive"),
+        ("grad_clip", math.nan, "must be positive"), ("eps_adam", 0.0, "must be positive"),
+        ("beta1", 1.5, "must lie in [0, 1)"), ("beta1", 1.0, "must lie in [0, 1)"),
+        ("beta1", -0.1, "must lie in [0, 1)"), ("beta2", 1.0, "must lie in [0, 1)"),
+        ("beta2", math.nan, "must lie in [0, 1)"),
+    ])
+    def test_optimizer_value_that_reverses_or_stops_training_is_usage_error(self, key, value, rule,
+                                                                             tiny_config_file, capsys):
+        """A negative clip or step climbs the loss and a zero one freezes it;
+        each is refused before ``out_dir`` exists, NaN included."""
+        path, cfg = tiny_config_file("bad", **{key: value})
+        assert cli(["train", "--config", path]) == 1
+        assert f"usage error: {key} = {value} {rule}" in capsys.readouterr().err
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{key} = {value} {rule}')}$"):
+            train(cfg)
+        assert not os.path.exists(cfg.out_dir)
+
+    @pytest.mark.parametrize("key, value, rule", [
         ("n_layers", 0, "must be at least 1"), ("d_model", 0, "must be at least 1"),
         ("n_heads", 0, "must be at least 1"), ("d_exp", 0, "must be at least 1"),
         ("seq_len", 0, "must be at least 1"), ("dropout", 1.0, "must lie in [0, 1)"),

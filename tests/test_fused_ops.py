@@ -34,8 +34,8 @@ from s2moe.tensor import (
     matmul,
     mix,
     mul,
-    nan_guard,
     reshape,
+    set_nan_guard,
     sigmoid,
     softmax,
     stack_affine,
@@ -351,8 +351,14 @@ def test_byte_mask_dropout_matches_float_mask_bitwise(dtype, residual):
     else:
         fused, composed, leaves = (lambda a: add_mul(None, a, mask, scale),
                                    lambda a: mul(a, Tensor(float_mask)), [a])
-    with nan_guard(False):
+    saved = set_nan_guard(False)
+    try:
         (out_f, grads_f), (out_c, grads_c) = run_both(fused, composed, leaves, seed=3)
+        with Tape() as tape:
+            fused(*(Tensor(leaf, requires_grad=True) for leaf in leaves))
+            assert len(tape) == 1
+    finally:
+        set_nan_guard(saved)
     assert out_f.dtype == dtype and out_f.tobytes() == out_c.tobytes()
     assert np.isnan(out_f.flat[2])
     if not residual:
@@ -360,9 +366,6 @@ def test_byte_mask_dropout_matches_float_mask_bitwise(dtype, residual):
     assert len(grads_f) == len(leaves)
     for gf, gc in zip(grads_f, grads_c):
         assert gf.dtype == gc.dtype and gf.tobytes() == gc.tobytes()
-    with nan_guard(False), Tape() as tape:
-        fused(*(Tensor(leaf, requires_grad=True) for leaf in leaves))
-        assert len(tape) == 1
 
 
 def test_model_dropout_draws_the_float_mask_it_replaced():

@@ -5,6 +5,7 @@ import importlib
 import math
 import os
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from conftest import dtype_code_offset, tiny_run_config
 
 # ``s2moe.train`` is shadowed by the re-exported function of the same name
 train_module = importlib.import_module("s2moe.train")
+tensor_module = importlib.import_module("s2moe.tensor")
 
 
 def _trace_router_requires_grad(monkeypatch):
@@ -599,6 +601,122 @@ class TestTraining:
         with pytest.raises(ValueError, match="metrics row has 2 fields"):
             train(cfg, resume_from=ckpt)
 
+    def test_resume_past_a_metrics_row_cut_inside_its_step_field(self, small_corpus, tmp_path):
+        """A last line with no comma holds only its step's leading digits: step
+        10's row cut to ``1`` may be step 10 or later, never step 1, so a
+        resume from step 9 drops it; cut to ``2`` after step 0's row it may be
+        step 2, below the resume step, and is refused."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", precision="f64", seed=3, steps=12)
+        metrics = train(cfg).metrics_path
+        uninterrupted = str(tmp_path / "uninterrupted.csv")
+        text = open(metrics).read()
+        with open(uninterrupted, "w") as fh:
+            fh.write(text)
+        with open(metrics, "w") as fh:
+            fh.write(text[:text.index("\n10,") + 2])
+        assert metrics_equal(uninterrupted, train(cfg, resume_from=os.path.join(cfg.out_dir, "ckpt-0000009.bin"))
+                             .metrics_path)
+
+        with open(metrics, "w") as fh:
+            fh.write(text[:text.index("\n2,") + 2])
+        with pytest.raises(ValueError, match="metrics row has 1 fields, want 10: '2'"):
+            train(cfg, resume_from=os.path.join(cfg.out_dir, "ckpt-0000006.bin"))
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "ckpt-final.bin"])
+    def test_failed_replace_keeps_the_previous_file(self, small_corpus, tmp_path, monkeypatch, name):
+        """A rename that fails as a second run replaces ``metrics.csv`` (its
+        rewrite) or ``ckpt-final.bin`` (the final link) leaves the first run's
+        file there and no ``.tmp`` beside it."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", seed=3)
+        train(cfg)
+        target = os.path.join(cfg.out_dir, name)
+        before = open(target, "rb").read()
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("rename failed")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename failed"):
+            train(dataclasses.replace(cfg, seed=4))
+        monkeypatch.undo()
+        assert open(target, "rb").read() == before
+        assert not [n for n in os.listdir(cfg.out_dir) if n.endswith(".tmp")]
+
+    @pytest.mark.parametrize("cut", ["one-byte", "half-row"])
+    def test_a_run_faulted_at_any_write_resumes_to_the_same_artifacts(self, small_corpus, tmp_path, monkeypatch,
+                                                                     cut):
+        """Each write of a 12-step f64 run fails in turn: every ``replacing``
+        rename (the metrics rewrite, four checkpoints, the final link), and
+        every metrics-row append, which leaves part of its row. The run then
+        resumes from the last checkpoint on disk (or starts over with none),
+        and its metrics rows (less ``wall_ms``) and ``ckpt-final.bin`` equal
+        the uninterrupted run's."""
+        cfg = tiny_run_config(small_corpus, tmp_path / "run", precision="f64", seed=3, steps=12)
+        reference = train(cfg)
+        final = open(reference.final_checkpoint, "rb").read()
+        metrics = str(tmp_path / "reference.csv")
+        os.replace(reference.metrics_path, metrics)
+        real_open, real_replace = open, os.replace
+        sites, faulted = [0], []
+
+        def due(what):
+            """Whether this write fails: the n-th run fails its n-th write."""
+            sites[0] += 1
+            if sites[0] == len(faulted) + 1:
+                faulted.append(what)
+                return True
+            return False
+
+        class CutRows:
+            """A metrics file whose faulted append writes part of its row, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, text):
+                if due("row " + text.split(",", 1)[0]):
+                    self.fh.write(text[:1] if cut == "one-byte" else text[:len(text) // 2])
+                    self.fh.flush()
+                    raise OSError("append failed")
+                return self.fh.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def replace(src, dst):
+            if due("rename " + os.path.basename(dst)):
+                raise OSError("rename failed")
+            real_replace(src, dst)
+
+        def opened(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return CutRows(fh) if mode == "a" else fh
+
+        while True:
+            sites[0] = 0
+            shutil.rmtree(cfg.out_dir)
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "replace", replace)
+                patch.setattr(train_module, "open", opened, raising=False)
+                try:
+                    train(cfg)
+                except OSError as err:
+                    assert str(err) in ("rename failed", "append failed")
+                else:
+                    break
+            written = sorted(os.listdir(cfg.out_dir))
+            assert not [n for n in written if n.endswith(".tmp")], faulted[-1]
+            ckpts = [n for n in written if re.fullmatch(r"ckpt-\d{7}\.bin", n)]
+            resumed = train(cfg, resume_from=os.path.join(cfg.out_dir, ckpts[-1]) if ckpts else None)
+            assert metrics_equal(metrics, resumed.metrics_path), faulted[-1]
+            assert open(resumed.final_checkpoint, "rb").read() == final, faulted[-1]
+        assert faulted == ["rename metrics.csv", "row 0", "row 2", "rename ckpt-0000003.bin", "row 4",
+                           "rename ckpt-0000006.bin", "row 6", "row 8", "rename ckpt-0000009.bin", "row 10",
+                           "row 11", "rename ckpt-0000012.bin", "rename ckpt-final.bin"]
+
     def test_load_run_reads_back_a_corpus_path_with_hash(self, small_corpus, tmp_path):
         corpus = tmp_path / "run#1" / "corpus.txt"
         corpus.parent.mkdir()
@@ -731,6 +849,29 @@ class TestTraining:
         for name in written:
             for tensor_name, arr in load_checkpoint(os.path.join(cfg.out_dir, name)).tensors:
                 assert np.isfinite(arr).all(), (name, tensor_name)
+
+    @pytest.mark.parametrize("fault", [False, True], ids=["clean", "fault"])
+    @pytest.mark.parametrize("guard", [True, False], ids=["guard-on", "guard-off"])
+    def test_checked_gives_back_the_callers_guard(self, guard, fault):
+        """``_checked`` runs its work with the guard off, replays a fault with
+        it on, and leaves the caller's setting as it found it either way."""
+        seen = []
+
+        def work():
+            seen.append(tensor_module._nan_guard)
+            return len(seen)
+
+        saved = set_nan_guard(guard)
+        try:
+            if fault:
+                with pytest.raises(NonFiniteError, match="^result 2 is non-finite$"):
+                    train_module._checked(work, lambda n: f"result {n} is non-finite")
+            else:
+                assert train_module._checked(work, lambda n: "") == 1
+            assert tensor_module._nan_guard is guard
+        finally:
+            set_nan_guard(saved)
+        assert seen == ([False, True] if fault else [False])
 
     def test_clean_run_unchanged_with_nan_guard_off(self, small_corpus, tmp_path):
         cfg = tiny_run_config(small_corpus, tmp_path / "run", steps=4, ckpt_interval=2)

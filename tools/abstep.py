@@ -8,9 +8,9 @@ package is copied under a name of its own, so both import into this one
 process. Each builds its desk-preset model (``--variant``, the preset's
 seed) over one synthetic corpus, and the two take their training steps in
 turn, the order flipped every step: step i of one tree, then step i of the
-other. A step is what the training loop times: the batch, the forward, the
-backward, the clip and Adam. Separate processes on a shared box see different
-machine noise; steps interleaved this closely see the same.
+other. A step is the training loop's own, ``train._train_step``: the batch,
+the forward, the backward, the clip and Adam. Separate processes on a shared
+box see different machine noise; steps interleaved this closely see the same.
 
 With ``--eval CKPT`` each tree rebuilds the run from the checkpoint instead
 and the trees take turns on eval batches (``train.window_nats`` over the val
@@ -21,7 +21,8 @@ The first ``--warmup`` steps of each tree are not counted: they pay the
 heap's growth. Per tree, the median and quartiles of the counted steps, then
 the change's median over the parent's and the share of steps in which the
 change took less time than the parent's step of the same index. Exit 0, or
-2 when an argument is not a checkout.
+2 when an argument is not a checkout or lacks a function the timing calls
+(``train._train_step``, or ``train.window_nats`` with ``--eval``).
 """
 
 from __future__ import annotations
@@ -68,15 +69,8 @@ class Tree:
 
     def train_step(self, step: int) -> float:
         """One training step as ``train`` takes it; its seconds."""
-        tr, cfg, model = self.train, self.cfg, self.model
         start = time.perf_counter()
-        for blk in model.blocks:
-            tr.stablemoe_update(blk.moe.router, step)
-        k = tr.dropout_schedule_k(step, cfg.steps, cfg.n_experts) if cfg.variant == "smoe-dropout" else cfg.k_train
-        idx = tr.RngStream((cfg.seed << 8) + tr._STREAM_BATCH, counter=step).integers(self.pairs, cfg.batch_size)
-        x, y = tr.make_batch(self.corpus.train, cfg.seq_len, idx)
-        tr._checked(lambda: tr._step(model, cfg, x, y, k, step), lambda result: tr._step_faults(model, result))
-        self.adam.step(step + 1)
+        self.train._train_step(self.model, self.adam, self.cfg, self.corpus.train, self.pairs, step)
         return time.perf_counter() - start
 
     def setup_eval(self, ckpt: str) -> None:
@@ -143,6 +137,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.path.insert(0, work)
         try:
             trees = [Tree(label, os.path.abspath(tree), work) for label, tree in zip(LABELS, (args.parent, args.change))]
+            needed = "window_nats" if args.eval else "_train_step"
+            for tree in trees:
+                if not hasattr(tree.train, needed):
+                    print(f"error: {tree.tree} has no train.{needed}, the function abstep times", file=sys.stderr)
+                    return 2
             if args.eval:
                 for tree in trees:
                     tree.setup_eval(args.eval)
