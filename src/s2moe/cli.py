@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import PRESETS, RunConfig, load_config, preset
+from .checkpoint import load_checkpoint
+from .config import PRESETS, RunConfig, load_config, parse_config_text, preset
 from .diagnostics import (
     collapse_metrics,
     flops_per_token,
@@ -20,7 +21,7 @@ from .diagnostics import (
     jacobian_probe,
 )
 from .routing import VARIANTS
-from .stochastic import RngStream, compute_batch_stats
+from .stochastic import compute_batch_stats, stream
 from .tensor import NonFiniteError, Tensor
 from .train import TrainAbort, collapse_batch, evaluate_checkpoint, load_run, train
 
@@ -98,12 +99,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        result, cfg = evaluate_checkpoint(args.ckpt, k=args.k, split=args.split)
-    except ValueError as err:
-        if "out of range" in str(err):
-            raise _UsageError(str(err))
-        raise
+    n_experts = parse_config_text(load_checkpoint(args.ckpt, names=()).config_text).n_experts
+    if not 1 <= args.k <= n_experts:  # before the run is rebuilt, which reads the corpus
+        raise _UsageError(f"--k {args.k} out of range [1, n_experts = {n_experts}]")
+    result, cfg = evaluate_checkpoint(args.ckpt, k=args.k, split=args.split)
     print("[eval]")
     print(f"split = {args.split}")
     print(f"k = {result.k}")
@@ -131,7 +130,7 @@ def _cmd_probe(args) -> int:
     for token in range(acts.shape[0]):
         try:
             report = jacobian_probe(layer, acts[token], k=cfg.k_eval, stats=stats,
-                                    noise_rng=RngStream((cfg.seed << 8) + 7))
+                                    noise_rng=stream(cfg.seed, "probe"))
             break
         except ValueError:
             continue

@@ -14,7 +14,7 @@ import numpy as np
 
 from .moe import MoeAux, S2MoeLayer, SmoeLayer
 from .routing import VARIANTS
-from .stochastic import RngStream, keep_threshold
+from .stochastic import MAX_LAYERS, RngStream, keep_threshold, stream
 from .tensor import Tensor, add, add_mul, affine_layer_norm, causal_attention, gather_rows, matmul, matmuls, transpose
 
 
@@ -44,6 +44,8 @@ class ModelConfig:
         for key in ("n_layers", "d_model", "n_heads", "d_exp", "seq_len"):
             if not getattr(self, key) >= 1:
                 raise ValueError(f"{key} = {getattr(self, key)} must be at least 1")
+        if not self.n_layers <= MAX_LAYERS:  # a deeper layer's init streams would reuse another group's keys
+            raise ValueError(f"n_layers = {self.n_layers} must be at most {MAX_LAYERS}")
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout = {self.dropout} must lie in [0, 1)")
         if keep_threshold(1.0 - self.dropout) < 1:  # its scale 2**16 / t would divide by zero
@@ -56,7 +58,7 @@ class ModelConfig:
             raise ValueError(f"tau_u = {self.tau_u} must be positive")
         if not self.d_low >= 1:
             raise ValueError(f"d_low = {self.d_low} must be at least 1")
-        if not 0 <= self.seed < 2**120:  # seed << 8 keys the streams, and Philox's key has 128 bits
+        if not 0 <= self.seed < 2**120:  # a stream's key is seed * 256 + offset, and Philox's key has 128 bits
             raise ValueError(f"seed = {self.seed} must lie in [0, 2**120)")
         if self.variant == "xmoe" and not self.d_low < self.d_model:
             raise ValueError(f"d_low = {self.d_low} must be below d_model = {self.d_model} for xmoe")
@@ -105,8 +107,8 @@ class _Unset:
         return np.broadcast_to(np.zeros((), dtype=self.dtype), shape)
 
 
-def _init_stream(cfg: ModelConfig, seed: int, init: bool):
-    return RngStream(seed) if init else _Unset(cfg.dtype)
+def _init_stream(cfg: ModelConfig, name: str, init: bool, layer: int = 0):
+    return stream(cfg.seed, name, layer) if init else _Unset(cfg.dtype)
 
 
 class DecoderBlock:
@@ -114,13 +116,9 @@ class DecoderBlock:
 
     def __init__(self, cfg: ModelConfig, layer_idx: int, init: bool = True):
         dtype = cfg.dtype
-        # one init stream per parameter group, so variants that add or skip
-        # parameters (blend gate, xmoe extras) do not shift the shared draws;
-        # smoe-dropout's frozen router has a group of its own
-        base = cfg.seed << 8
-        router_group = 144 if cfg.variant == "smoe-dropout" else 48
+        router = "frozen-router" if cfg.variant == "smoe-dropout" else "router"
         rng_attn, rng_router, rng_experts, rng_blend = (
-            _init_stream(cfg, base + group + layer_idx, init) for group in (16, router_group, 80, 112))
+            _init_stream(cfg, name, init, layer_idx) for name in ("attn", router, "experts", "blend"))
         self.attn = Attention(cfg.d_model, cfg.n_heads, rng_attn, dtype)
         self.ln1_g = Tensor(np.ones(cfg.d_model, dtype=dtype), requires_grad=True)
         self.ln1_b = Tensor(np.zeros(cfg.d_model, dtype=dtype), requires_grad=True)
@@ -186,7 +184,7 @@ class LanguageModel:
     def __init__(self, cfg: ModelConfig, init: bool = True):
         self.cfg = cfg
         dtype = cfg.dtype
-        rng = _init_stream(cfg, (cfg.seed << 8) + 1, init)
+        rng = _init_stream(cfg, "embed", init)
         self.embed = Tensor(rng.normal((cfg.vocab_size, cfg.d_model), scale=0.01).astype(dtype, copy=False),
                             requires_grad=True)
         self.pos = Tensor(rng.normal((cfg.seq_len, cfg.d_model), scale=0.01).astype(dtype, copy=False),

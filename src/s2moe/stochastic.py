@@ -96,6 +96,25 @@ class RngStream:
         return (self._raw(-(-n // 4)).view("<u2")[:n] < threshold).reshape(shape)
 
 
+# A run's stream ``name`` has the Philox key seed * 256 + STREAMS[name]
+# (+ layer). Offsets below 16 are run-wide streams; from 16 on, each init
+# group has one stream per layer, 32 keys apart, so up to MAX_LAYERS layers
+# every offset is distinct and below 256. One init group per parameter group,
+# so variants that add or skip parameters (blend gate, xmoe extras) do not
+# shift the shared draws; smoe-dropout's frozen router has a group of its own.
+STREAMS = {"embed": 1, "batch": 3, "forward": 4, "probe": 7,
+           "attn": 16, "router": 48, "experts": 80, "blend": 112, "frozen-router": 144}
+MAX_LAYERS = 32
+
+
+def stream(seed: int, name: str, layer: int = 0, counter: int = 0) -> RngStream:
+    """The run's stream ``name`` (of ``layer``, for an init group) at ``counter``."""
+    offset = STREAMS[name]
+    if not 0 <= layer < (MAX_LAYERS if offset >= 16 else 1):
+        raise ValueError(f"stream '{name}' has no layer {layer}")
+    return RngStream((seed << 8) + offset + layer, counter)
+
+
 def keep_threshold(keep: float) -> int:
     """``keep * 2**16`` rounded half up: the 16-bit lanes below it keep
     their positions (``RngStream.keep_mask``). 0 for a keep rate below 2**-17."""

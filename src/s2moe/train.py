@@ -24,12 +24,9 @@ from .diagnostics import CollapseReport, collapse_metrics, gini, routing_stats
 from .losses import PooledPair, balance_loss, perplexity, task_loss, total_loss, uncertainty_loss
 from .model import LanguageModel
 from .routing import dropout_schedule_k, stablemoe_update
-from .stochastic import RngStream
+from .stochastic import stream
 from .tensor import NonFiniteError, Tape, Tensor, backward, set_nan_guard
 
-# stream ids under (seed << 8)
-_STREAM_BATCH = 3
-_STREAM_FORWARD = 4
 _FORWARD_STRIDE = 1 << 20
 
 
@@ -235,7 +232,7 @@ def _step_losses(model: LanguageModel, cfg: RunConfig, x, y, rng, k):
 def _step(model: LanguageModel, cfg: RunConfig, x, y, k: int, step: int):
     """One step's forward, backward and gradient clip; the forward's draws
     start over from (seed, step), so a replay repeats them."""
-    rng = RngStream((cfg.seed << 8) + _STREAM_FORWARD, counter=step * _FORWARD_STRIDE)
+    rng = stream(cfg.seed, "forward", counter=step * _FORWARD_STRIDE)
     model.zero_grad()  # no forward reads a gradient: free the last step's before this one allocates
     with Tape():
         auxes, nats, bal, unc, total = _step_losses(model, cfg, x, y, rng, k)[1:]  # no logits held through backward
@@ -263,7 +260,7 @@ def _train_step(model: LanguageModel, adam: Adam, cfg: RunConfig, tokens: np.nda
     for blk in model.blocks:
         stablemoe_update(blk.moe.router, step)
     k = dropout_schedule_k(step, cfg.steps, cfg.n_experts) if cfg.variant == "smoe-dropout" else cfg.k_train
-    idx = RngStream((cfg.seed << 8) + _STREAM_BATCH, counter=step).integers(pairs, cfg.batch_size)
+    idx = stream(cfg.seed, "batch", counter=step).integers(pairs, cfg.batch_size)
     x, y = make_batch(tokens, cfg.seq_len, idx)
     auxes, nats, bal, unc, total, _ = _checked(lambda: _step(model, cfg, x, y, k, step),
                                                lambda result: _step_faults(model, result))

@@ -3,6 +3,7 @@
 import math
 import os
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,7 @@ class TestMalformedConfig:
         ("beta", -0.5, "must be at least 0"), ("tau_u", 0.0, "must be positive"),
         ("d_low", 0, "must be at least 1"), ("d_low", -2, "must be at least 1"),
         ("seed", -1, "must lie in [0, 2**120)"), ("seed", 2**120, "must lie in [0, 2**120)"),
+        ("n_layers", 33, "must be at most 32"),
     ])
     def test_model_value_out_of_range_is_usage_error(self, key, value, rule, tiny_config_file, capsys):
         path, cfg = tiny_config_file("bad", **{key: value})
@@ -168,6 +170,21 @@ class TestTrainEval:
         assert cli(["eval", "--ckpt", ckpt, "--k", "17", "--split", "val"]) == 1
         assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "train"]) == 1
         assert cli(["eval", "--ckpt", "/nonexistent.bin", "--k", "2", "--split", "val"]) == 2
+
+    def test_eval_k_out_of_range_is_refused_before_the_corpus_is_read(self, small_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        shutil.copy(small_corpus, corpus)
+        cfg = tiny_run_config(str(corpus), tmp_path / "rk", steps=1)
+        path = tmp_path / "rk.cfg"
+        path.write_text(cfg.to_text())
+        assert cli(["train", "--config", str(path)]) == 0
+        corpus.unlink()
+        ckpt = cfg.out_dir + "/ckpt-final.bin"
+        capsys.readouterr()
+        assert cli(["eval", "--ckpt", ckpt, "--k", "99", "--split", "val"]) == 1
+        assert "usage error: --k 99 out of range [1, n_experts = 4]" in capsys.readouterr().err
+        assert cli(["eval", "--ckpt", ckpt, "--k", "2", "--split", "val"]) == 2  # a k in range reads the corpus
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_eval_of_nonfinite_checkpoint_names_the_op(self, tiny_config_file, capsys):
         path, cfg = tiny_config_file("rnan", steps=3)

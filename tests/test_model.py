@@ -10,7 +10,8 @@ import pytest
 from s2moe.config import RunConfig, preset
 from s2moe.data import Corpus
 from s2moe.model import LanguageModel, ModelConfig
-from s2moe.stochastic import RngStream
+from s2moe.routing import VARIANTS
+from s2moe.stochastic import MAX_LAYERS, STREAMS, RngStream, stream
 from s2moe.tensor import Tape, backward
 from s2moe.train import evaluate_model
 
@@ -196,6 +197,41 @@ class TestInferenceK:
             logits, _ = model.lm_forward(tokens, mode="eval", k=k)
             outs.append(logits.data.copy())
         assert outs[0].tobytes() == outs[1].tobytes() == outs[2].tobytes()
+
+
+def test_every_stream_key_a_model_draws_from_is_distinct(monkeypatch):
+    """Every stream ``stochastic.stream`` gives, each name at each layer it
+    accepts below MAX_LAYERS, has a key of its own below 256 past the seed's
+    base, so keys of two seeds never meet either; no name accepts layer
+    MAX_LAYERS. A model of MAX_LAYERS layers of every variant draws its init
+    from those streams only, every init group at every layer."""
+    seed = 2**120 - 1  # the largest seed: the last key still fits Philox's 128 bits
+    offsets = {}
+    for name in STREAMS:
+        for layer in range(MAX_LAYERS + 1):
+            try:
+                offsets[name, layer] = stream(seed, name, layer).seed - (seed * 256)
+            except ValueError:
+                pass
+        assert (name, 0) in offsets and (name, MAX_LAYERS) not in offsets
+    assert len(set(offsets.values())) == len(offsets)
+    assert 0 <= min(offsets.values()) and max(offsets.values()) < 256
+    stream(seed, "frozen-router", MAX_LAYERS - 1).normal((1,))
+
+    model_mod = importlib.import_module("s2moe.model")
+    drawn = set()
+
+    def recorded(seed, name, layer=0, counter=0):
+        drawn.add((name, layer))
+        return stream(seed, name, layer, counter)
+
+    monkeypatch.setattr(model_mod, "stream", recorded)
+    for variant in VARIANTS:
+        LanguageModel(tiny_cfg(n_layers=MAX_LAYERS, d_exp=2, n_experts=2, k_train=1, k_eval=1,
+                               d_low=2, variant=variant))
+    groups = {"attn", "router", "experts", "blend", "frozen-router"}
+    assert drawn == {("embed", 0)} | {(name, layer) for name in groups for layer in range(MAX_LAYERS)}
+    assert drawn <= offsets.keys()
 
 
 def test_end_to_end_grad_check_tiny_model():
